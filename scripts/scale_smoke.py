@@ -14,19 +14,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import logging  # noqa: E402
 
-from ssforms import lift, pipeline  # noqa: E402
+from ssforms import pipeline  # noqa: E402
 
 
 def main():
     p = int(sys.argv[1]) if len(sys.argv) > 1 else 10007
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     t0 = time.time()
-    for d in range(1, 7):
-        lift.enumerate_candidates(d)
-    print(f"candidate tables: {time.time() - t0:.1f}s")
-    t1 = time.time()
     rep = pipeline.run_level(p, pipeline.RunConfig(level=p))
-    dt = time.time() - t1
+    dt = time.time() - t0
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"level {p}: {rep.status}, {len(rep.records)} record(s), "
           f"{dt:.1f}s, peak rss {rss:.0f} MB")

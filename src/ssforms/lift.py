@@ -1,11 +1,18 @@
-"""Eigenvalue candidates and integer eigenbases for low-dimension factors.
+"""Factor detection, integer eigenbases and orbit separation for the
+low-dimension factors of a Hecke charpoly.
 
-Candidates are the monic integer irreducible polynomials of degree <= 6 whose
-roots are all real with absolute value <= 2*sqrt(2) (every minimal polynomial
-of a weight-2 level-p a_2 is one).  Enumeration walks the derivative chain
-with floating sign conditions, then every survivor is certified by an exact
-Sturm count at +-2*sqrt(2) and irreducibility by trial division against the
-lower-degree lists.
+The eigenvalue candidates are the monic integer irreducible polynomials of
+degree <= 6 whose roots are all real with absolute value <= 2*sqrt(2) (every
+minimal polynomial of a weight-2 level-p a_2 is one).  ``detect_factors``
+finds the candidates dividing chi mod nu without listing them: it factors
+chi mod nu into irreducibles of degree <= 6, lifts every product of total
+degree <= 6 whose coefficients fit the Weil box, and keeps the lifts that an
+exact Sturm count and a factorization over Z certify.
+
+``enumerate_candidates`` lists all candidates instead (derivative chain with
+floating sign conditions, exact Sturm certificate, trial-division
+irreducibility).  It is a reference enumerator that no production path
+calls.
 
 Lifting follows the small-entries heuristic: candidate integer lifts of
 F_nu-kernel data are checked exactly over Z.
@@ -132,7 +139,8 @@ def count_real_roots_in_bound(poly) -> int:
         if _surd_sign(a, b) != 0:
             break
         q, r = _poly_divmod_int([-8, 0, 1], poly)
-        assert not any(r)
+        if any(r):
+            raise ArithmeticError(f"{poly} vanishes at 2*sqrt(2) but t^2 - 8 does not divide it")
         poly = _fractions_to_int(q)
         extra += 2
         if len(poly) == 1:
@@ -346,7 +354,11 @@ def _poly_gcd_fraction(a, b):
 @lru_cache(maxsize=None)
 def enumerate_candidates(d: int) -> tuple[tuple, ...]:
     """Monic integer irreducible degree-d polynomials with all roots real in
-    [-2*sqrt(2), 2*sqrt(2)], lowest-first coefficient tuples, sorted."""
+    [-2*sqrt(2), 2*sqrt(2)], lowest-first coefficient tuples, sorted.
+
+    A reference enumerator: no production path calls it (``detect_factors``
+    finds the candidates dividing chi mod nu by factoring).  Degree 6 has
+    89,702 entries and takes about a minute."""
     if not 1 <= d <= 6:
         raise ValueError("degree must be between 1 and 6")
     squarefree, _repeated = _real_rooted_monics(d)
@@ -389,19 +401,41 @@ def _eval_grid(polys, pts) -> np.ndarray:
 
 
 def detect_factors(chi: np.ndarray, nu: int, g_max: int = 6) -> list[tuple[tuple, int]]:
-    """Weil-admissible candidates dividing chi mod nu, with multiplicities.
-    Batch synthetic division handles each degree's whole candidate list at
-    once."""
+    """The eigenvalue candidates (see the module docstring) of degree
+    <= g_max that divide chi mod nu, with their multiplicities mod nu,
+    sorted by (degree, coefficients).
+
+    Every candidate's coefficients lie in the Weil box, so its reduction is
+    a product of irreducible factors of chi mod nu of total degree <= g_max,
+    and it is a lift of that product into the box: the only one when
+    nu > 2 * 1086, one of several for smaller nu.  The factors come from
+    Yun's squarefree decomposition, distinct-degree factorization cut off at
+    g_max and equal-degree splitting (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 14).  The splitting draws from a generator seeded
+    by nu, so the caller's random stream is left alone."""
+    rng = np.random.default_rng(nu)
+    factors = []
+    for sf, mult in gf.npoly_squarefree_decomposition(chi, nu):
+        for prod, d in gf.npoly_distinct_degree(sf, nu, max_degree=g_max):
+            factors.extend((g, mult) for g in gf.npoly_equal_degree_split(prod, d, nu, rng))
+    # products of every sub-multiset of the factors with degree <= g_max
+    products = [np.ones(1, dtype=np.int64)]
+    for g, mult in factors:
+        grown = []
+        for prod in products:
+            for _ in range(mult):
+                if len(prod) + len(g) - 2 > g_max:
+                    break
+                prod = np.convolve(prod, g) % nu
+                grown.append(prod)
+        products += grown
     found = []
-    for d in range(1, g_max + 1):
-        cands = enumerate_candidates(d)
-        if not cands:
-            continue
-        mat = np.array(cands, dtype=np.int64) % nu  # (m, d+1), monic
-        hits = _batch_divides(chi, mat, nu)
-        for idx in np.nonzero(hits)[0]:
-            cand = cands[int(idx)]
-            g = np.array(cand, dtype=np.int64) % nu
+    for prod in products[1:]:
+        for rho in _weil_box_lifts(prod, nu):
+            d = len(rho) - 1
+            if count_real_roots_in_bound(rho) != d or len(factor_real_rooted(list(rho))) != 1:
+                continue
+            g = np.array(rho, dtype=np.int64) % nu
             mult = 0
             rem = chi
             while True:
@@ -410,25 +444,23 @@ def detect_factors(chi: np.ndarray, nu: int, g_max: int = 6) -> list[tuple[tuple
                     break
                 mult += 1
                 rem = q
-            found.append((cand, mult))
-    return found
+            found.append((rho, mult))
+    return sorted(found, key=lambda f: (len(f[0]), f[0]))
 
 
-def _batch_divides(chi: np.ndarray, cands: np.ndarray, nu: int) -> np.ndarray:
-    """Boolean mask: which monic rows of cands divide chi mod nu."""
-    m, dp1 = cands.shape
-    d = dp1 - 1
-    if len(chi) - 1 < d:
-        return np.zeros(m, dtype=bool)
-    low = cands[:, :d]  # the non-leading coefficients
-    state = np.zeros((m, d), dtype=np.int64)
-    for c in chi[::-1].tolist():
-        top = state[:, d - 1].copy()
-        state[:, 1:] = state[:, :-1]
-        state[:, 0] = c
-        state -= top[:, None] * low
-        state %= nu
-    return ~state.any(axis=1)
+def _weil_box_lifts(g: np.ndarray, nu: int) -> list[tuple]:
+    """Monic integer polynomials congruent to the monic g mod nu whose
+    coefficient of t^k is at most C(d, k) * 8^((d-k)/2) in absolute value,
+    as every candidate's is; lowest-first coefficient tuples."""
+    d = len(g) - 1
+    choices = []
+    for k in range(d - 1, -1, -1):  # the top coefficients are the tightest
+        bound = math.isqrt(math.comb(d, k) ** 2 * BOUND_SQ ** (d - k))
+        lifts = range(-bound + (int(g[k]) + bound) % nu, bound + 1, nu)
+        if not lifts:
+            return []
+        choices.append(lifts)
+    return [tuple(reversed(c)) + (1,) for c in itertools.product(*choices)]
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +824,8 @@ def factor_real_rooted(poly: list) -> list[list[int]]:
     if d <= 1:
         return [poly]
     roots = np.roots(np.array(poly[::-1], dtype=float))
-    assert np.abs(roots.imag).max(initial=0.0) < 1e-4, "real-rooted input expected"
+    if np.abs(roots.imag).max(initial=0.0) >= 1e-4:
+        raise ValueError(f"{poly} is not real-rooted")
     roots = sorted(roots.real.tolist())
     for size in range(1, d // 2 + 1):
         for combo in itertools.combinations(range(d), size):

@@ -310,7 +310,6 @@ def _second_symmetric(m: SparseSignedMatrix, nu: int) -> tuple[int, int]:
     tr = m.trace()
     tr2 = m.trace_of_square()
     c1 = (-tr) % nu
-    c2 = (tr * tr - tr2) % (2 * nu)
     # (tr^2 - tr(M^2)) is always even over Z because it equals 2*sum_{i<j}(...)
     c2 = ((tr * tr - tr2) // 2) % nu
     return c1, c2

@@ -343,3 +343,63 @@ def fraction_sturm_count_in_bound(poly: list[int]) -> int:
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(-1) - variations(1)
+
+
+# ---------------------------------------------------------------------------
+# Factor detection against the whole candidate table
+# ---------------------------------------------------------------------------
+
+
+def table_detect_factors(chi: np.ndarray, nu: int, g_max: int,
+                         candidates_by_degree) -> list[tuple[tuple, int]]:
+    """[(candidate, multiplicity mod nu)] for every table candidate of degree
+    <= g_max that divides chi mod nu, in table order: batch synthetic
+    division of chi by each degree's whole candidate list at once."""
+    chi = [int(c) % nu for c in chi]
+    found = []
+    for d in range(1, g_max + 1):
+        cands = candidates_by_degree[d]
+        if not cands:
+            continue
+        mat = np.array(cands, dtype=np.int64) % nu  # (m, d+1), monic
+        for idx in np.nonzero(_batch_divides(chi, mat, nu))[0]:
+            cand = cands[int(idx)]
+            mult, cur = 0, chi
+            while True:
+                cur, divides = _divide_monic_mod(cur, [c % nu for c in cand], nu)
+                if not divides:
+                    break
+                mult += 1
+            found.append((tuple(cand), mult))
+    return found
+
+
+def _batch_divides(chi: list[int], cands: np.ndarray, nu: int) -> np.ndarray:
+    """Boolean mask: which monic rows of cands divide chi mod nu."""
+    m, dp1 = cands.shape
+    d = dp1 - 1
+    if len(chi) - 1 < d:
+        return np.zeros(m, dtype=bool)
+    low = cands[:, :d]  # the non-leading coefficients
+    state = np.zeros((m, d), dtype=np.int64)
+    for c in chi[::-1]:
+        top = state[:, d - 1].copy()
+        state[:, 1:] = state[:, :-1]
+        state[:, 0] = c
+        state -= top[:, None] * low
+        state %= nu
+    return ~state.any(axis=1)
+
+
+def _divide_monic_mod(f: list[int], g: list[int], nu: int) -> tuple[list[int], bool]:
+    """(quotient, whether the remainder is zero) of f by the monic g mod nu."""
+    f = list(f)
+    if len(f) < len(g):
+        return f, False
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = f[k + len(g) - 1] % nu
+        q[k] = c
+        for i, gi in enumerate(g):
+            f[k + i] = (f[k + i] - c * gi) % nu
+    return q, not any(f[: len(g) - 1])

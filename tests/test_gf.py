@@ -152,15 +152,20 @@ def test_roots_count_and_eval(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_npoly_mul_matches_convolution(rng):
+def test_npoly_mul_matches_convolution(rng, monkeypatch):
+    # (3100, 3200) is above NTT_CROSSOVER; with the crossover lowered to 8
+    # the shorter products go through the NTT and the CRT too
     m = 999983
-    for la, lb in [(1, 1), (5, 40), (40, 40), (200, 311), (1025, 700)]:
+    for la, lb in [(1, 1), (5, 40), (40, 40), (200, 311), (1025, 700), (3100, 3200)]:
         a = np.array(rng.integers(0, m, la), dtype=np.int64)
         b = np.array(rng.integers(0, m, lb), dtype=np.int64)
         want = np.array(np.convolve(a.astype(object), b.astype(object)) % m,
                         dtype=np.int64)
         got = gf.npoly_mul(a, b, m)
         assert (got == want).all()
+        with monkeypatch.context() as mp:
+            mp.setattr(gf, "NTT_CROSSOVER", 8)
+            assert (gf.npoly_mul(a, b, m) == want).all()
 
 
 def test_npoly_divrem_and_modctx(rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from fractions import Fraction
 
 import oracles
@@ -63,6 +64,47 @@ def test_detect_factors(rng):
     # empty case
     none = lift.detect_factors(np.array([1, 0, 0, 7, 1], dtype=np.int64) % nu, nu, 6)
     assert all((3, 1) != rho for rho, _ in none)
+
+
+def test_detect_factors_matches_table_on_levels_5_to_500(candidate_lists):
+    # both Atkin-Lehner blocks of every prime level in 5..500
+    rng = np.random.default_rng(5)
+    nu = linalg.NU_DEFAULTS[0]
+    found = 0
+    for p in sympy.primerange(5, 501):
+        sset, B = ssgraph.build_adjacency(p, 2, rng)
+        al = ssgraph.split_atkin_lehner(B, sset)
+        for blk in (al.minus, al.plus):
+            chi = oracles.hessenberg_charpoly_mod(blk.to_dense(), nu)
+            want = oracles.table_detect_factors(chi, nu, 6, candidate_lists)
+            assert lift.detect_factors(chi, nu, 6) == want, (p, blk.n)
+            found += len(want)
+    assert found > 100  # the comparison is not vacuous
+
+
+def _npoly_product(factors, nu):
+    chi = np.array([1], dtype=np.int64)
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            chi = gf.npoly_mul(chi, np.array(coeffs, dtype=np.int64) % nu, nu)
+    return chi
+
+
+@pytest.mark.parametrize("factors, nu, g_max", [
+    # squared factors, a boundary candidate and a non-candidate
+    ([((2, 1), 1), ((-1, 1, 1), 2), ((-3, 1), 1), ((-8, 0, 1), 2)], 999983, 6),
+    # t^2 - 5 splits mod 999979 (5 is a square), t^3 - 3t + 1 stays whole
+    ([((-5, 0, 1), 2), ((1, -3, 0, 1), 1), ((1, 1), 1)], 999979, 6),
+    # a sextic candidate, and a degree cap below it
+    ([((-6, 8, 25, -1, -11, 0, 1), 1), ((0, 1), 3)], 999961, 6),
+    ([((-6, 8, 25, -1, -11, 0, 1), 1), ((0, 1), 3)], 999961, 3),
+])
+def test_detect_factors_matches_table_on_constructed_chi(candidate_lists, factors, nu, g_max):
+    chi = _npoly_product(factors, nu)
+    want = oracles.table_detect_factors(chi, nu, g_max, candidate_lists)
+    assert lift.detect_factors(chi, nu, g_max) == want
+    planted = {c for c, _ in factors if len(c) - 1 <= g_max and c in candidate_lists[len(c) - 1]}
+    assert planted <= {rho for rho, _ in want}
 
 
 def test_lift_1dim_p11(rng):
@@ -147,6 +189,18 @@ def test_factor_divides_mod_nu_but_not_over_z(rng):
     assert (2, 1) not in found7  # excluded under the next modulus
 
 
+def test_detect_factors_matches_table_for_tiny_nu(candidate_lists):
+    # nu below 2 * 1086: a product of factors mod nu has several lifts in
+    # the Weil box, and every one that is a candidate is reported
+    A = np.array([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]],
+                 dtype=np.int64)
+    for nu in (5, 7):
+        chi = oracles.hessenberg_charpoly_mod(A, nu)
+        for g_max in (1, 2, 3):
+            want = oracles.table_detect_factors(chi, nu, g_max, candidate_lists)
+            assert lift.detect_factors(chi, nu, g_max) == want, (nu, g_max)
+
+
 def test_separate_orbits_two_dim1_same_a2():
     # synthetic: two one-dimensional orbits sharing a_2, separated by a_ell
     basis = np.array([[1, 0], [0, 1], [1, 1]], dtype=object)
@@ -173,3 +227,5 @@ def test_factor_real_rooted():
     assert factors == [[-2, 0, 1], [-1, 1]]
     irr = [-1, -2, 1, 1]  # t^3+t^2-2t-1: cyclic cubic, irreducible
     assert lift.factor_real_rooted(irr) == [irr]
+    with pytest.raises(ValueError):
+        lift.factor_real_rooted([1, 0, 1])  # t^2 + 1 has no real root
