@@ -2,8 +2,9 @@
 
 Two polynomial layers live here:
 
-* a generic dense-list layer that works over any field context
-  (used for the small-degree polynomials of the graph walk: degree <= 14), and
+* a generic dense-list layer that works over any field context, used only
+  by the ell=2 graph walk (Phi_2(j, y) has degree 3 in y; T_ell for ell >= 3
+  is built by evaluating at known vertices, see `ssgraph.hecke_matrix`), and
 * a numpy-backed layer over a single-word prime field with quasi-linear
   multiplication (NTT + 2-prime CRT above a crossover degree), used for the
   long polynomials of the charpoly and sieve stages.
@@ -246,16 +247,6 @@ def poly_deg(f) -> int:
     return len(f) - 1
 
 
-def poly_add(f, g, ctx):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else ctx.zero
-        b = g[i] if i < len(g) else ctx.zero
-        out.append(ctx.add(a, b))
-    return poly_trim(out, ctx)
-
-
 def poly_sub(f, g, ctx):
     n = max(len(f), len(g))
     out = []
@@ -317,13 +308,6 @@ def poly_gcd(f, g, ctx):
     return poly_monic(f, ctx)
 
 
-def poly_eval(f, x, ctx):
-    acc = ctx.zero
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
 def poly_mulmod(f, g, m, ctx):
     return poly_divrem(poly_mul(f, g, ctx), m, ctx)[1]
 
@@ -336,14 +320,6 @@ def poly_powmod(f, e: int, m, ctx):
             r = poly_mulmod(r, f, m, ctx)
         f = poly_mulmod(f, f, m, ctx)
         e >>= 1
-    return r
-
-
-def frobenius_power(f, k: int, ctx):
-    """x^(q^k) reduced mod f, where q is the order of ctx's field."""
-    r = [ctx.zero, ctx.one]
-    for _ in range(k):
-        r = poly_powmod(r, ctx.order, f, ctx)
     return r
 
 

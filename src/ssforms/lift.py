@@ -507,7 +507,8 @@ def lift_1dim(m: SparseSignedMatrix, lam: int, mu: np.ndarray, nu: int, rng,
             continue
         if (m.matvec_exact(w) == lam * w).all():
             g = int(np.gcd.reduce(np.abs(w[w != 0])))
-            assert g == 1, f"lifted eigenvector has content {g}"
+            if g != 1:
+                raise ArithmeticError(f"lifted eigenvector has content {g}")
             return w
     raise LiftFailure(f"no integer lift among {config.max_1dim_lifts} candidates")
 
@@ -793,7 +794,8 @@ def _hnf_reduce_rows(rows: list, want: int) -> list:
         basis.append(pivot)
         work = rest
         col += 1
-    assert len(basis) == want, "lattice rank dropped during reduction"
+    if len(basis) != want:
+        raise ArithmeticError("lattice rank dropped during reduction")
     return [np.array(b, dtype=np.int64) for b in basis]
 
 
@@ -859,7 +861,8 @@ def separate_orbits(lift: HighDimLift, level: int, block: str) -> list[GaloisOrb
         # integer kernel basis of h(S)
         hs = _int_poly_of_matrix(s, h)
         kb = numfield.kernel_basis(None, [[Fraction(x) for x in row] for row in hs], mdim)
-        assert len(kb) == dh, "kernel dimension mismatch"
+        if len(kb) != dh:
+            raise ArithmeticError("kernel dimension mismatch")
         kb_int = [_primitive_int(v) for v in kb]
         basis_vecs = []
         for v in kb_int:
@@ -878,7 +881,8 @@ def separate_orbits(lift: HighDimLift, level: int, block: str) -> list[GaloisOrb
         for i in range(mdim):
             mat[i][i] = field.sub(mat[i][i], theta)
         xs = numfield.kernel_basis(field, mat, mdim)
-        assert xs, "no eigenvector over the Hecke field"
+        if not xs:
+            raise ArithmeticError("no eigenvector over the Hecke field")
         x = xs[0]
         # clear denominators to integer-coefficient field elements
         e = []

@@ -82,25 +82,11 @@ class SparseSignedMatrix:
         return self._csr @ v.astype(np.int64)
 
     def trace(self) -> int:
-        t = 0
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            hit = np.nonzero(cols == i)[0]
-            for h in hit:
-                t += int(self.data[self.indptr[i] + h])
-        return t
+        return int(self._csr.diagonal().sum())
 
     def trace_of_square(self) -> int:
-        """tr(M^2) = sum_{i,j} M[i][j] M[j][i] straight off the sparse rows."""
-        t = 0
-        for i in range(self.n):
-            for s in range(self.indptr[i], self.indptr[i + 1]):
-                j = int(self.indices[s])
-                row_j = self.indices[self.indptr[j] : self.indptr[j + 1]]
-                hit = np.searchsorted(row_j, i)
-                if hit < len(row_j) and row_j[hit] == i:
-                    t += int(self.data[s]) * int(self.data[self.indptr[j] + hit])
-        return t
+        """tr(M^2) = sum_{i,j} M[i][j] M[j][i] straight off the sparse entries."""
+        return int(self._csr.multiply(self._csr.T).sum())
 
 
 def matvec(m: SparseSignedMatrix, v: np.ndarray, nu: int) -> np.ndarray:
@@ -296,7 +282,8 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
         attempts += 1
         if len(best) - 1 == n:
             break  # cannot do better than full degree
-    assert best is not None
+    if best is None:
+        raise CharpolyFailure(f"no probe ran at nu={nu} (budget {budget})")
     # a probe can return a proper divisor of the minimal polynomial without
     # detecting it; everything downstream assumes mu(M) = 0, so check it
     if not annihilates(best, m, nu, rng, params.verify_vectors):

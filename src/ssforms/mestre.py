@@ -208,7 +208,8 @@ def solve_beta(alpha_columns: dict[int, list[int]], psis: list[series.PowerSerie
     from .lift import _inv_mod
 
     inv = _inv_mod(psi_mat, p)
-    assert inv is not None
+    if inv is None:
+        raise MestreError(f"chosen psi probe matrix is singular mod {p}")
     beta = alpha_mat @ inv % p
     # consistency at every provided probe, including held-out ones
     for ell in probes:

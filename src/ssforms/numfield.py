@@ -30,7 +30,8 @@ class NumberField:
 
     def __init__(self, h):
         h = [int(x) for x in h]
-        assert h[-1] == 1, "defining polynomial must be monic"
+        if h[-1] != 1:
+            raise ValueError("defining polynomial must be monic")
         self.h = h
         self.deg = len(h) - 1
 
@@ -121,7 +122,8 @@ class NumberField:
             r0, r1 = _trim(r1), _trim(r)
             s0, s1 = s1, _trim(snew)
         # r0 is the gcd (a constant for irreducible h)
-        assert len(r0) == 1, "defining polynomial is not irreducible"
+        if len(r0) != 1:
+            raise ValueError("defining polynomial is not irreducible")
         c = r0[0]
         return self.elt([x / c for x in s0])
 
@@ -138,7 +140,8 @@ class NumberField:
     def real_embeddings(self) -> np.ndarray:
         """Real roots of h (all roots are real for the fields built here)."""
         roots = np.roots(np.array(self.h[::-1], dtype=float))
-        assert np.abs(roots.imag).max(initial=0.0) < 1e-6, "non-real embedding"
+        if np.abs(roots.imag).max(initial=0.0) >= 1e-6:
+            raise ArithmeticError("non-real embedding")
         return np.sort(roots.real)
 
     def embed_matrix(self, basis) -> np.ndarray:
@@ -216,7 +219,8 @@ def rational_charpoly(mat) -> list:
         ak = nxt
     out = []
     for c in reversed(coeffs):
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ArithmeticError(f"characteristic polynomial coefficient {c} is not integral")
         out.append(int(c))
     return out
 

@@ -3,8 +3,10 @@
 Stages per level and Atkin-Lehner block: isogeny graph, Wiedemann charpoly
 mod an auxiliary prime, candidate detection and eigenbasis lifting, Mestre
 q-expansions, and (optionally) the high-degree sieve.  Runs are deterministic
-given (config, seed); graphs and charpolys are checkpointed as exact text
-files keyed by level and schema version.
+given (config, seed).  With a cache dir, the ell=2 graph (which fixes the
+vertex order) is checkpointed as an exact text file keyed by level and schema
+version; T_ell for ell >= 3 is rebuilt by vertex matching, and charpolys are
+never checkpointed.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ def sturm_bound(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Graph store: canonical vertex order comes from the ell=2 walk
+# Graph store: the ell=2 walk fixes the vertex order; T_ell for ell >= 3 is
+# matched against its vertices
 # ---------------------------------------------------------------------------
 
 
@@ -91,38 +94,35 @@ class GraphStore:
         self.p = p
         self.rng = rng
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self._graphs: dict[int, np.ndarray] = {}
         self._blocks: dict[tuple[int, str], linalg.SparseSignedMatrix] = {}
-        self.sset, b2 = self._load_or_build(2)
-        self._graphs[2] = b2
+        self.sset, b2 = self._load_or_walk()
         self.al2 = ssgraph.split_atkin_lehner(b2, self.sset)
 
-    def _cache_path(self, ell: int) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"graph_v{SCHEMA_VERSION}_p{self.p}_l{ell}.txt"
-
-    def _load_or_build(self, ell: int):
-        path = self._cache_path(ell)
-        if path is not None and path.exists():
-            return ssgraph.graph_from_text(path.read_text())
+    def _load_or_walk(self):
+        """The ell=2 graph, which fixes the vertex order: read from the cache
+        when there is one, else walked and (with a cache dir) written."""
+        path = None
+        if self.cache_dir is not None:
+            path = self.cache_dir / f"graph_v{SCHEMA_VERSION}_p{self.p}_l2.txt"
+            if path.exists():
+                return ssgraph.graph_from_text(path.read_text())
         t0 = time.monotonic()
-        sset, b = ssgraph.build_adjacency(self.p, ell, self.rng)
-        log.info("stage=graph p=%d ell=%d vertices=%d dt=%.2fs",
-                 self.p, ell, len(sset), time.monotonic() - t0)
+        sset, b = ssgraph.build_adjacency(self.p, 2, self.rng)
+        log.info("stage=graph p=%d ell=2 vertices=%d dt=%.2fs",
+                 self.p, len(sset), time.monotonic() - t0)
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(ssgraph.graph_to_text(sset, b))
         return sset, b
 
     def adjacency(self, ell: int) -> np.ndarray:
-        if ell not in self._graphs:
-            sset_ell, b = self._load_or_build(ell)
-            # re-index to the canonical (ell=2) vertex order
-            pos = {v: i for i, v in enumerate(sset_ell.vertices)}
-            perm = np.array([pos[v] for v in self.sset.vertices], dtype=np.int64)
-            self._graphs[ell] = b[np.ix_(perm, perm)]
-        return self._graphs[ell]
+        """Dense T_ell for ell >= 3 in the ell=2 vertex order; `block`
+        keeps its Atkin-Lehner blocks, so each ell is built once."""
+        t0 = time.monotonic()
+        b = ssgraph.hecke_matrix(self.sset, ell)
+        log.info("stage=graph p=%d ell=%d vertices=%d dt=%.2fs",
+                 self.p, ell, len(self.sset), time.monotonic() - t0)
+        return b
 
     def block(self, ell: int, name: str) -> linalg.SparseSignedMatrix:
         key = (ell, name)
@@ -357,19 +357,43 @@ def _run_sieve(store: GraphStore, name: str, orbits, cfg: RunConfig, rng):
     }
 
 
+def _pool_run(levels, cfg: RunConfig, workers: int) -> dict:
+    """Run levels in a process pool: per level its LevelReport, or the
+    exception that its future raised."""
+    import concurrent.futures as cf
+
+    out = {}
+    with cf.ProcessPoolExecutor(max_workers=workers) as ex:
+        futures = {ex.submit(run_level, p, cfg): p for p in levels}
+        for fut in cf.as_completed(futures):
+            p = futures[fut]
+            try:
+                out[p] = fut.result()
+            except Exception as e:  # noqa: BLE001 - turned into failed reports
+                out[p] = e
+    return out
+
+
 def run_range(cfg: RunConfig):
     levels = cfg.levels()
-    if cfg.workers > 1:
-        import concurrent.futures as cf
+    if cfg.workers <= 1:
+        return [run_level(p, cfg) for p in levels]
+    from concurrent.futures.process import BrokenProcessPool
 
-        with cf.ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            futures = {ex.submit(run_level, p, cfg): p for p in levels}
-            results = {}
-            for fut in cf.as_completed(futures):
-                rep = fut.result()
-                results[rep.level] = rep
-        return [results[p] for p in levels]
-    return [run_level(p, cfg) for p in levels]
+    results = _pool_run(levels, cfg, cfg.workers)
+    for p in levels:
+        if isinstance(results[p], BrokenProcessPool):
+            # a worker that dies (say, killed for memory) breaks every level
+            # still pending in its pool; rerun each alone, so that only a
+            # level that kills its own worker fails
+            results[p] = _pool_run([p], cfg, 1)[p]
+        if isinstance(results[p], Exception):
+            e = results[p]
+            log.error("level %d failed in its worker process: %s: %s",
+                      p, type(e).__name__, e)
+            results[p] = LevelReport(p, "failed", {}, [],
+                                     error=f"{type(e).__name__}: {e}")
+    return [results[p] for p in levels]
 
 
 # ---------------------------------------------------------------------------

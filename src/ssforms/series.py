@@ -20,6 +20,11 @@ class PrecisionError(ValueError):
     pass
 
 
+def _same_prime(a: "PowerSeries", b: "PowerSeries"):
+    if a.p != b.p:
+        raise ValueError(f"series over F_{a.p} and F_{b.p} do not combine")
+
+
 class PowerSeries:
     __slots__ = ("p", "val", "coeffs", "absprec")
 
@@ -86,7 +91,7 @@ class PowerSeries:
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        assert self.p == other.p
+        _same_prime(self, other)
         absprec = min(self.absprec, other.absprec)
         val = min(self.val, other.val, absprec)
         a = self.coeff_range(val, absprec)
@@ -94,7 +99,7 @@ class PowerSeries:
         return PowerSeries(self.p, val, (a + b) % self.p, absprec)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        assert self.p == other.p
+        _same_prime(self, other)
         absprec = min(self.absprec, other.absprec)
         val = min(self.val, other.val, absprec)
         a = self.coeff_range(val, absprec)
@@ -122,7 +127,7 @@ class PowerSeries:
 
 
 def series_mul(a: PowerSeries, b: PowerSeries, absprec: int | None = None) -> PowerSeries:
-    assert a.p == b.p
+    _same_prime(a, b)
     limit = min(a.val + b.absprec, b.val + a.absprec)
     if absprec is not None:
         limit = min(limit, absprec)
@@ -314,6 +319,8 @@ def brent_kung_compose(gcoeffs: np.ndarray, u: PowerSeries, absprec: int) -> Pow
         return PowerSeries.zero(p, absprec)
     bs = max(1, math.isqrt(L - 1) + 1)
     gs = (L + bs - 1) // bs
+    if int(p) ** 2 * bs >= 2**62:
+        raise gf.ModulusError(f"modulus {p} too large for block accumulation of {bs} terms")
     # dense rows u^0 .. u^bs over exponents [0, absprec)
     rows = np.zeros((bs + 1, absprec), dtype=np.int64)
     rows[0, 0] = 1
@@ -324,7 +331,6 @@ def brent_kung_compose(gcoeffs: np.ndarray, u: PowerSeries, absprec: int) -> Pow
     for i in range(gs):
         chunk = gcoeffs[i * bs : min((i + 1) * bs, L)]
         C[i, : len(chunk)] = chunk
-    assert int(p) ** 2 * bs < 2**62, "modulus too large for block accumulation"
     E = C @ rows[:bs] % p  # gs x absprec
     ubig = rows[bs]
     acc = E[gs - 1]

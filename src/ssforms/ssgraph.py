@@ -1,14 +1,19 @@
 """Supersingular ell-isogeny graphs over F_{p^2} and their Atkin-Lehner split.
 
-The graph is explored breadth-first from a CM starting vertex, finding the
-roots of the classical modular polynomial Phi_ell(j, y) at each step and
-reusing the known backward root to drop one degree.  Rows at Galois-conjugate
-vertices are filled by conjugating, never recomputed.
+The vertex set comes from one breadth-first walk of the 2-isogeny graph from
+a CM starting vertex, finding the roots of the classical modular polynomial
+Phi_2(j, y) at each step and reusing the known backward root to drop one
+degree.  Every root of Phi_ell(j_i, y) is again supersingular, so T_ell for
+ell >= 3 needs no root-finding: `hecke_matrix` evaluates Phi_ell(j_i, y) at
+all known vertices at once and reads the neighbours off the zeros.  In both
+builds, rows at Galois-conjugate vertices are filled by conjugating, never
+recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -253,6 +258,91 @@ def build_adjacency(p: int, ell: int, rng,
             f"(p={p}, ell={ell}); non-supersingular start or arithmetic bug"
         )
     return SupersingularSet(p, ctx, vertices, np.array(conj, dtype=np.int64)), B
+
+
+# Rows of T_ell matched per step of `hecke_matrix`; its temporaries are
+# _MATCH_BLOCK x n int64 arrays.
+_MATCH_BLOCK = 256
+
+
+def _power_table(j_re: np.ndarray, j_im: np.ndarray, deg: int, p: int,
+                 xi2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) parts of j^m for m = 0..deg, one row per element j of F_{p^2}."""
+    re = np.zeros((len(j_re), deg + 1), dtype=np.int64)
+    im = np.zeros_like(re)
+    re[:, 0] = 1
+    for m in range(1, deg + 1):
+        a, b = re[:, m - 1], im[:, m - 1]
+        re[:, m] = (a * j_re % p + xi2 * (b * j_im % p)) % p
+        im[:, m] = (a * j_im + b * j_re) % p
+    return re, im
+
+
+def hecke_matrix(sset: SupersingularSet, ell: int) -> np.ndarray:
+    """T_ell in the vertex order of `sset`, which must list every
+    supersingular j: B[i][k] = multiplicity of j_k as a root of
+    Phi_ell(j_i, y).
+
+    For a block of rows, the y-coefficients of Phi_ell(j_i, y) come from one
+    product of the power table j_i^m with the coefficient grid, and their
+    values at every vertex from a second one.  A root's multiplicity is the
+    number of leading Hasse derivatives D^m f = sum_k C(k, m) c_k y^(k-m)
+    that vanish there; unlike f^(m) / m!, these stay defined when p <= ell+1.
+    Every dot product sums ell+2 terms below (p-1)^2 in int64.
+    """
+    p, n = sset.p, len(sset)
+    if ell == p:
+        raise ValueError("ell must differ from p")
+    if (ell + 2) * (p - 1) ** 2 >= 2**63:
+        raise gf.ModulusError(f"p={p} overflows the int64 evaluation of Phi_{ell}")
+    deg = ell + 1
+    xi2 = sset.ctx.n
+    grid = bundled_modular_polynomials()[ell]
+    coef = np.array([[grid.get((m, k), 0) % p for k in range(deg + 1)]
+                     for m in range(deg + 1)], dtype=np.int64)
+    hasse = np.array([[math.comb(k, m) % p for k in range(deg + 1)]
+                      for m in range(deg + 1)], dtype=np.int64)
+    verts = np.array(sset.vertices, dtype=np.int64).reshape(n, 2)
+    pw_re, pw_im = _power_table(verts[:, 0], verts[:, 1], deg, p, xi2)
+    pwt_re, pwt_im = pw_re.T.copy(), pw_im.T.copy()
+
+    conj = sset.conj
+    reps = np.nonzero(conj >= np.arange(n))[0]
+    B = np.zeros((n, n), dtype=np.int64)
+    for start in range(0, len(reps), _MATCH_BLOCK):
+        rows = reps[start : start + _MATCH_BLOCK]
+        c_re = pw_re[rows] @ coef % p
+        c_im = pw_im[rows] @ coef % p
+        # a root needs a zero real part; the candidates are then checked in
+        # full, and their multiplicities counted, one derivative at a time
+        val_re = (c_re @ pwt_re % p + xi2 * (c_im @ pwt_im % p)) % p
+        r, v = np.nonzero(val_re == 0)
+        mult = np.zeros(len(r), dtype=np.int64)
+        alive = np.arange(len(r))
+        for m in range(deg + 1):
+            h_re = c_re[r[alive], m:] * hasse[m, m:] % p
+            h_im = c_im[r[alive], m:] * hasse[m, m:] % p
+            y_re = pw_re[v[alive], : deg + 1 - m]
+            y_im = pw_im[v[alive], : deg + 1 - m]
+            d_re = ((h_re * y_re).sum(axis=1) % p
+                    + xi2 * ((h_im * y_im).sum(axis=1) % p)) % p
+            d_im = ((h_re * y_im).sum(axis=1) % p + (h_im * y_re).sum(axis=1) % p) % p
+            alive = alive[(d_re == 0) & (d_im == 0)]
+            if not len(alive):
+                break
+            mult[alive] += 1
+        B[rows[r], v] = mult
+    others = np.nonzero(conj < np.arange(n))[0]
+    B[others] = B[conj[others]][:, conj]
+
+    short = np.nonzero(B.sum(axis=1) != deg)[0]
+    if len(short):
+        i = int(short[0])
+        raise GraphError(
+            f"vertex {sset.vertices[i]} has {int(B[i].sum())} of {deg} "
+            f"{ell}-isogenies among the {n} known vertices (p={p}); "
+            "incomplete vertex set or arithmetic bug")
+    return B
 
 
 @dataclass

@@ -156,6 +156,13 @@ def test_acceptance_4_graph_invariants(rng):
     for p in primes:
         for ell in (2, 3):
             sset, B = ssgraph.build_adjacency(p, ell, rng)
+            if ell == 2:
+                sset2 = sset
+            else:
+                # T_3 by vertex matching equals the BFS's, in the ell=2 order
+                pos = {v: i for i, v in enumerate(sset.vertices)}
+                perm = np.array([pos[v] for v in sset2.vertices], dtype=np.int64)
+                assert (ssgraph.hecke_matrix(sset2, 3) == B[np.ix_(perm, perm)]).all(), p
             n = len(sset)
             eps = {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
             assert n == p // 12 + eps
@@ -189,7 +196,7 @@ def test_acceptance_4_graph_invariants(rng):
                     ell + 1, q) for q in nus)
     dt = time.monotonic() - t0
     print(f"\nACCEPTANCE 4 (graph invariants): PASS - {len(primes)} primes "
-          f"<= 2000, ell in {{2,3}}, all exact in {dt:.1f}s")
+          f"<= 2000, ell in {{2,3}}, matched T_3 = BFS T_3, all exact in {dt:.1f}s")
 
 
 def test_acceptance_5_wiedemann(rng):

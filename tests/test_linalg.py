@@ -162,3 +162,12 @@ def test_wiedemann_vs_dense_oracle_small(rng):
         rec = linalg.hecke_charpoly(M, linalg.WiedemannParams(), rng)
         want = oracles.hessenberg_charpoly_mod(A, rec.nu)
         assert rec.chi.tolist() == want.tolist()
+
+
+def test_sparse_traces_match_dense(rng):
+    for n in (0, 1, 2, 7, 30):
+        for density in (0.05, 0.3, 1.0):
+            A = rng.integers(-4, 5, (n, n)) * (rng.random((n, n)) < density)
+            M = linalg.SparseSignedMatrix.from_dense(A)
+            assert M.trace() == int(np.trace(A))
+            assert M.trace_of_square() == int(np.trace(A @ A))

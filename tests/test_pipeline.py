@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -123,3 +124,26 @@ def test_workers_parallel_range(tmp_path):
     pipeline._write_outputs(reports2, cfg2)
     assert (tmp_path / "w2" / "newforms.jsonl").read_bytes() == \
         (tmp_path / "w1" / "newforms.jsonl").read_bytes()
+
+
+_run_level = pipeline.run_level
+
+
+def _run_level_killing_19(p, cfg):
+    """run_level, except that the worker process running level 19 dies."""
+    if p == 19:
+        os._exit(1)
+    return _run_level(p, cfg)
+
+
+def test_dead_worker_fails_only_its_level(monkeypatch):
+    # a worker that dies breaks its pool; the other levels are still run
+    # and reported ok, and the dead level becomes a failed report
+    monkeypatch.setattr(pipeline, "run_level", _run_level_killing_19)
+    cfg = pipeline.RunConfig(level_range=(5, 40), workers=2)
+    reports = pipeline.run_range(cfg)
+    assert [r.level for r in reports] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    by_level = {r.level: r for r in reports}
+    assert by_level[19].status == "failed"
+    assert "BrokenProcessPool" in by_level[19].error
+    assert all(r.status == "ok" for p, r in by_level.items() if p != 19)

@@ -191,3 +191,14 @@ def test_dilate_and_differentiate():
     assert d.val == -3 and d.coeff(-3) == 1 and d.coeff(0) == 7 and d.coeff(3) == 3
     dd = s.differentiate()
     assert dd.coeff(-2) == (-1) % p and dd.coeff(0) == 3
+
+
+def test_brent_kung_rejects_overflowing_modulus():
+    # p^2 * block size >= 2^62 would overflow the int64 block accumulation;
+    # the check fires before any arithmetic mod p
+    p = 2**30 - 35
+    u = series.PowerSeries(p, 1, np.ones(8, dtype=np.int64), 9)
+    with pytest.raises(gf.ModulusError):
+        series.brent_kung_compose(np.ones(9, dtype=np.int64), u, 9)
+    with pytest.raises(ValueError):
+        series.series_mul(u, series.PowerSeries.one(101, 5))

@@ -155,3 +155,62 @@ def test_graph_cache_roundtrip(rng):
     assert s2.vertices == sset.vertices
     assert (B2 == B).all()
     assert (s2.conj == sset.conj).all()
+
+
+def _bfs_in_order(sset, ell, rng):
+    """build_adjacency's T_ell, re-indexed to the vertex order of sset."""
+    s_ell, B = ssgraph.build_adjacency(sset.p, ell, rng)
+    pos = {v: i for i, v in enumerate(s_ell.vertices)}
+    perm = np.array([pos[v] for v in sset.vertices], dtype=np.int64)
+    return B[np.ix_(perm, perm)]
+
+
+def test_hecke_matrix_matches_bfs(rng):
+    small_p = multi_edge = 0
+    for p in range(5, 301):
+        if not gf._is_probable_prime(p):
+            continue
+        sset, _ = ssgraph.build_adjacency(p, 2, rng)
+        special = [i for i, v in enumerate(sset.vertices) if v in ((0, 0), (1728 % p, 0))]
+        for ell in (3, 5, 7, 11, 13):
+            if ell == p:
+                continue
+            B = ssgraph.hecke_matrix(sset, ell)
+            assert B.dtype == np.int64
+            assert (B == _bfs_in_order(sset, ell, rng)).all(), (p, ell)
+            small_p += p <= ell + 1
+            multi_edge += int((B[special] > 1).any())
+    # the Hasse-derivative multiplicities are exercised where p <= ell+1 and
+    # at the j = 0 / 1728 rows, whose edges repeat
+    assert small_p == 6 and multi_edge > 0
+
+
+def test_hecke_matrix_matches_bfs_1399_ell13(rng):
+    sset, _ = ssgraph.build_adjacency(1399, 2, rng)
+    B = ssgraph.hecke_matrix(sset, 13)
+    assert (B == _bfs_in_order(sset, 13, rng)).all()
+
+
+def test_hecke_matrix_missing_vertex_fails_loudly(rng):
+    sset, _ = ssgraph.build_adjacency(101, 2, rng)
+    # drop one F_p-rational vertex; the conjugation map stays an involution
+    drop = int(np.nonzero(sset.rational_mask())[0][-1])
+    keep = [v for i, v in enumerate(sset.vertices) if i != drop]
+    index = {v: i for i, v in enumerate(keep)}
+    conj = np.array([index[sset.ctx.conj(v)] for v in keep], dtype=np.int64)
+    partial = ssgraph.SupersingularSet(101, sset.ctx, keep, conj)
+    with pytest.raises(ssgraph.GraphError):
+        ssgraph.hecke_matrix(partial, 3)
+    with pytest.raises(ValueError):
+        ssgraph.hecke_matrix(sset, 101)
+
+
+def test_hecke_matrix_overflow_guard():
+    # (ell+2)(p-1)^2 >= 2^63 would overflow the int64 dot products; the guard
+    # fires before any vertex is touched, so a one-vertex set suffices
+    p = 2**30 - 35
+    ctx = gf.QuadExtCtx(gf.PrimeFieldCtx(p))
+    sset = ssgraph.SupersingularSet(p, ctx, [(0, 0)], np.zeros(1, dtype=np.int64))
+    with pytest.raises(gf.ModulusError):
+        ssgraph.hecke_matrix(sset, 7)
+    assert (3 + 2) * (p - 1) ** 2 < 2**63  # ell = 3 stays inside the bound
