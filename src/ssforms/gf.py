@@ -26,7 +26,7 @@ class ModulusError(ValueError):
     pass
 
 
-def _is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -65,7 +65,7 @@ class PrimeFieldCtx:
     def __init__(self, p: int, check_prime: bool = True):
         if p > MAX_MODULUS:
             raise ModulusError(f"modulus {p} exceeds word-size threshold {MAX_MODULUS}")
-        if check_prime and not _is_probable_prime(p):
+        if check_prime and not is_probable_prime(p):
             raise ModulusError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -163,9 +163,6 @@ class QuadExtCtx:
 
     def conj(self, x):
         return (x[0] % self.p, -x[1] % self.p)
-
-    def is_rational(self, x) -> bool:
-        return x[1] % self.p == 0
 
     def norm(self, x) -> int:
         """x * x^sigma, an element of F_p."""
@@ -533,7 +530,7 @@ class NPolyModCtx:
         self.m = m
         self.n = len(f) - 1
         rev = f[::-1].copy()
-        self.rev_inv = _npoly_series_inv(rev, self.n, m) if self.n > 0 else None
+        self.rev_inv = npoly_series_inv(rev, self.n, m) if self.n > 0 else None
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         a = npoly_trim(np.asarray(a, dtype=np.int64) % self.m)
@@ -544,7 +541,7 @@ class NPolyModCtx:
             return out
         k = len(a) - 1 - n  # degree of quotient
         if k + 1 > len(self.rev_inv):
-            self.rev_inv = _npoly_series_inv(self.f[::-1].copy(), k + 1, m)
+            self.rev_inv = npoly_series_inv(self.f[::-1].copy(), k + 1, m)
         ra = a[::-1][: k + 1]
         q_rev = npoly_mul(ra, self.rev_inv[: k + 1], m)[: k + 1]
         q = q_rev[::-1]
@@ -569,7 +566,7 @@ class NPolyModCtx:
         return r
 
 
-def _npoly_series_inv(a: np.ndarray, prec: int, m: int) -> np.ndarray:
+def npoly_series_inv(a: np.ndarray, prec: int, m: int) -> np.ndarray:
     """Power-series inverse of a (a[0] invertible) to prec terms via Newton."""
     if prec <= 0:
         return np.zeros(0, dtype=np.int64)

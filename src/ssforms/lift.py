@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf, numfield
-from .linalg import SparseSignedMatrix
+from .linalg import SparseSignedMatrix, inv_mod, rank_mod
 
 BOUND_SQ = 8  # (2*sqrt(2))^2
 
@@ -525,10 +525,7 @@ class HighDimLift:
 def _rank_mod_inc(rows: list[np.ndarray], nu: int) -> int:
     if not rows:
         return 0
-    a = np.array(rows, dtype=np.int64) % nu
-    from .linalg import _rank_mod
-
-    return _rank_mod(a, nu)
+    return rank_mod(np.array(rows, dtype=np.int64), nu)
 
 
 def _shell_columns(m: int, bound: int):
@@ -645,7 +642,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
         rinv = inv_cache.get(ci, "missing")
         if isinstance(rinv, str):
             rmat = np.array([pool[i] for i in combo], dtype=np.int64)
-            rinv = _inv_mod(rmat, nu)
+            rinv = inv_mod(rmat, nu)
             inv_cache[ci] = rinv
         if rinv is None:
             continue
@@ -667,27 +664,6 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
     raise LiftFailure(
         f"kernel search exhausted {attempts} candidates with {len(found)}/{mdim} found"
     )
-
-
-def _inv_mod(a: np.ndarray, nu: int):
-    n = a.shape[0]
-    aug = np.concatenate([a % nu, np.eye(n, dtype=np.int64)], axis=1)
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i, c] % nu:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), -1, nu) % nu
-        for i in range(n):
-            if i != r and aug[i, c]:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % nu
-        r += 1
-    return aug[:, n:]
 
 
 def _in_integer_kernel(m2: SparseSignedMatrix, rho: list, w: np.ndarray) -> bool:
@@ -749,7 +725,7 @@ def _solve_action(t_mat: SparseSignedMatrix, basis_cols: list):
     integral = True
     for j in range(mdim):
         rhs = [Fraction(int(images[j][i])) for i in sel]
-        col = numfield._solve_fraction(a, rhs)
+        col = numfield.solve_fraction(a, rhs)
         if any(x.denominator != 1 for x in col):
             integral = False
         s.append(col)

@@ -5,6 +5,7 @@ completion from trace coefficients and eigenspace-dimension bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,35 +33,52 @@ class CharpolyFailure(RuntimeError):
     pass
 
 
+_as_python_ints = np.frompyfunc(int, 1, 1)
+
+
 class SparseSignedMatrix:
-    """Row-compressed square matrix with small signed integer entries."""
+    """Row-compressed square matrix with small signed integer entries: per
+    row, sorted column indices and no stored zeros.  The scipy view used for
+    products is built on first use."""
 
     def __init__(self, n: int, indptr, indices, data):
         self.n = n
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.int64)
-        self._csr = sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(n, n), dtype=np.int64
+
+    @functools.cached_property
+    def _csr(self) -> sp.csr_matrix:
+        return sp.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.n, self.n), dtype=np.int64
         )
+
+    @classmethod
+    def from_triples(cls, n: int, rows, cols, data) -> "SparseSignedMatrix":
+        """The n x n matrix with entries data[t] at (rows[t], cols[t]); repeated
+        positions are summed and zero sums dropped."""
+        keys, where = np.unique(np.asarray(rows, dtype=np.int64) * n
+                                + np.asarray(cols, dtype=np.int64), return_inverse=True)
+        sums = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(sums, where, np.asarray(data, dtype=np.int64))
+        nonzero = sums != 0
+        keys, sums = keys[nonzero], sums[nonzero]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        if n:
+            np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+            keys = keys % n
+        return cls(n, indptr, keys, sums)
 
     @classmethod
     def from_dense(cls, arr) -> "SparseSignedMatrix":
         arr = np.asarray(arr, dtype=np.int64)
-        n = arr.shape[0]
-        indptr = [0]
-        indices = []
-        data = []
-        for i in range(n):
-            nz = np.nonzero(arr[i])[0]
-            indices.extend(nz.tolist())
-            data.extend(arr[i][nz].tolist())
-            indptr.append(len(indices))
-        return cls(n, indptr, indices, data)
+        rows, cols = np.nonzero(arr)
+        return cls.from_triples(arr.shape[0], rows, cols, arr[rows, cols])
 
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, data) of the stored entries, row by row."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return rows, self.indices, self.data
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
@@ -69,15 +87,13 @@ class SparseSignedMatrix:
         return (self._csr @ v) % nu
 
     def matvec_exact(self, v) -> np.ndarray:
-        """Exact integer product; falls back to object dtype for big entries."""
+        """Exact integer product; in Python integers (object dtype) for big
+        entries."""
         v = np.asarray(v)
         if v.dtype == object or (len(v) and max(abs(int(x)) for x in v.ravel()) > 2**40):
+            rows, cols, data = self.triples()
             out = np.zeros(self.n, dtype=object)
-            for i in range(self.n):
-                s = 0
-                for t in range(self.indptr[i], self.indptr[i + 1]):
-                    s += int(self.data[t]) * int(v[self.indices[t]])
-                out[i] = s
+            np.add.at(out, rows, data.astype(object) * _as_python_ints(v)[cols])
             return out
         return self._csr @ v.astype(np.int64)
 
@@ -332,7 +348,8 @@ def _pow_poly(g: np.ndarray, e: int, nu: int) -> np.ndarray:
     return out
 
 
-def _rank_mod(a: np.ndarray, nu: int) -> int:
+def rank_mod(a: np.ndarray, nu: int) -> int:
+    """Rank of the integer matrix a mod the prime nu."""
     a = a % nu
     rows, cols = a.shape
     r = 0
@@ -354,6 +371,29 @@ def _rank_mod(a: np.ndarray, nu: int) -> int:
             a[r + 1 + mask] = (a[r + 1 + mask] - np.outer(a[r + 1 + mask, c], a[r])) % nu
         r += 1
     return r
+
+
+def inv_mod(a: np.ndarray, nu: int):
+    """Inverse of the square integer matrix a mod the prime nu, or None when a
+    is singular mod nu."""
+    n = a.shape[0]
+    aug = np.concatenate([a % nu, np.eye(n, dtype=np.int64)], axis=1)
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, n):
+            if aug[i, c] % nu:
+                piv = i
+                break
+        if piv is None:
+            return None
+        aug[[r, piv]] = aug[[piv, r]]
+        aug[r] = aug[r] * pow(int(aug[r, c]), -1, nu) % nu
+        for i in range(n):
+            if i != r and aug[i, c]:
+                aug[i] = (aug[i] - aug[i, c] * aug[r]) % nu
+        r += 1
+    return aug[:, n:]
 
 
 def charpoly_complete(mu: np.ndarray, m: SparseSignedMatrix, nu: int,
@@ -399,7 +439,7 @@ def charpoly_complete(mu: np.ndarray, m: SparseSignedMatrix, nu: int,
                 block = np.concatenate([np.zeros(1, dtype=np.int64), block])
         if not vecs:
             continue
-        r = _rank_mod(np.array(vecs, dtype=np.int64), nu)
+        r = rank_mod(np.array(vecs, dtype=np.int64), nu)
         bound = -(-r // dg)  # ceil
         if bound > mult:
             base = gf.npoly_mul(base, _pow_poly(g, bound - mult, nu), nu)

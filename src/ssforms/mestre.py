@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gf, numfield, series
 from .lift import GaloisOrbit
-from .linalg import SparseSignedMatrix
+from .linalg import SparseSignedMatrix, inv_mod, rank_mod
 
 PRECISION_GUARD = 8
 
@@ -53,7 +53,7 @@ class HeckeField:
         """Integer coordinates of an algebraic integer in the integral basis."""
         d = self.field.deg
         mat = [[self.basis[j][i] for j in range(d)] for i in range(d)]
-        sol = numfield._solve_fraction(mat, [Fraction(x) for x in elt])
+        sol = numfield.solve_fraction(mat, [Fraction(x) for x in elt])
         out = []
         for x in sol:
             if x.denominator != 1:
@@ -190,11 +190,9 @@ def solve_beta(alpha_columns: dict[int, list[int]], psis: list[series.PowerSerie
         raise MestreError("not enough probe eigenvalues for the beta solve")
     chosen: list[int] = []
     rows: list[np.ndarray] = []
-    from .linalg import _rank_mod
-
     for ell in probes:
         col = np.array([psi.coeff(ell) for psi in psis], dtype=np.int64) % p
-        if _rank_mod(np.array(rows + [col], dtype=np.int64), p) > len(rows):
+        if rank_mod(np.array(rows + [col], dtype=np.int64), p) > len(rows):
             rows.append(col)
             chosen.append(ell)
         if len(chosen) == k:
@@ -205,9 +203,7 @@ def solve_beta(alpha_columns: dict[int, list[int]], psis: list[series.PowerSerie
         )
     psi_mat = np.array(rows, dtype=np.int64).T % p  # k x k: psi_j[ell_i]
     alpha_mat = np.array([alpha_columns[ell] for ell in chosen], dtype=np.int64).T % p
-    from .lift import _inv_mod
-
-    inv = _inv_mod(psi_mat, p)
+    inv = inv_mod(psi_mat, p)
     if inv is None:
         raise MestreError(f"chosen psi probe matrix is singular mod {p}")
     beta = alpha_mat @ inv % p
@@ -273,7 +269,7 @@ def q_expansion(orbit: GaloisOrbit, hecke: HeckeField, beta: BetaSolve,
 
     # primes first
     for n in range(2, n_coeffs + 1):
-        if not _is_prime(n):
+        if not gf.is_probable_prime(n):
             continue
         if n == p:
             elt = fld.scale(fld.one, a_p)
@@ -333,15 +329,6 @@ def q_expansion(orbit: GaloisOrbit, hecke: HeckeField, beta: BetaSolve,
 
     coeffs = [coords_out[n] for n in range(1, n_coeffs + 1)]
     return QExpansion(orbit.level, orbit.block, orbit.rho, hecke, coeffs, a_p)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(math.isqrt(n)) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 def _smallest_prime_factor(n: int) -> int:

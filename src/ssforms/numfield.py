@@ -250,7 +250,7 @@ def _put_one_first(basis):
     # coordinate on it is +-1 after expressing 1 in the basis)
     mat = [[basis[j][i] for j in range(deg)] for i in range(deg)]  # power-basis rows
     target = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-    sol = _solve_fraction(mat, target)
+    sol = solve_fraction(mat, target)
     for j, c in enumerate(sol):
         if abs(c) == 1:
             out = list(basis)
@@ -260,14 +260,16 @@ def _put_one_first(basis):
     # fall back: prepend 1 and drop a column keeping determinant +-1
     for j in range(deg):
         out = [one] + [b for k, b in enumerate(basis) if k != j]
-        coords = [_solve_fraction(mat, list(v)) for v in out]
+        coords = [solve_fraction(mat, list(v)) for v in out]
         det = _det_fraction(coords)
         if abs(det) == 1:
             return out
     raise ArithmeticError("could not normalize 1 into the integral basis")
 
 
-def _solve_fraction(mat, rhs):
+def solve_fraction(mat, rhs):
+    """The solution x of mat x = rhs for a nonsingular square matrix of
+    Fractions, by Gauss-Jordan elimination."""
     n = len(rhs)
     a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
     for c in range(n):

@@ -53,7 +53,7 @@ class RunConfig:
     def validate(self):
         levels = self.levels()
         for p in levels:
-            if p < 5 or not gf._is_probable_prime(p):
+            if p < 5 or not gf.is_probable_prime(p):
                 raise ConfigError(f"level {p} is not a prime >= 5")
             if p > gf.MAX_MODULUS:
                 raise ConfigError(f"level {p} exceeds the word-size threshold")
@@ -90,13 +90,17 @@ def sturm_bound(p: int) -> int:
 
 
 class GraphStore:
+    """The supersingular vertices of level p and the plus and minus
+    Atkin-Lehner blocks of each T_ell.  T_ell is built once per ell, as a
+    sparse matrix (no n x n array), and only its blocks are kept."""
+
     def __init__(self, p: int, rng, cache_dir: str | None):
         self.p = p
         self.rng = rng
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._blocks: dict[tuple[int, str], linalg.SparseSignedMatrix] = {}
-        self.sset, b2 = self._load_or_walk()
-        self.al2 = ssgraph.split_atkin_lehner(b2, self.sset)
+        self.sset, t2 = self._load_or_walk()
+        self.al2 = ssgraph.split_atkin_lehner(t2, self.sset)
 
     def _load_or_walk(self):
         """The ell=2 graph, which fixes the vertex order: read from the cache
@@ -107,22 +111,13 @@ class GraphStore:
             if path.exists():
                 return ssgraph.graph_from_text(path.read_text())
         t0 = time.monotonic()
-        sset, b = ssgraph.build_adjacency(self.p, 2, self.rng)
+        sset, t = ssgraph.build_adjacency(self.p, 2, self.rng)
         log.info("stage=graph p=%d ell=2 vertices=%d dt=%.2fs",
                  self.p, len(sset), time.monotonic() - t0)
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(ssgraph.graph_to_text(sset, b))
-        return sset, b
-
-    def adjacency(self, ell: int) -> np.ndarray:
-        """Dense T_ell for ell >= 3 in the ell=2 vertex order; `block`
-        keeps its Atkin-Lehner blocks, so each ell is built once."""
-        t0 = time.monotonic()
-        b = ssgraph.hecke_matrix(self.sset, ell)
-        log.info("stage=graph p=%d ell=%d vertices=%d dt=%.2fs",
-                 self.p, ell, len(self.sset), time.monotonic() - t0)
-        return b
+            path.write_text(ssgraph.graph_to_text(sset, t))
+        return sset, t
 
     def block(self, ell: int, name: str) -> linalg.SparseSignedMatrix:
         key = (ell, name)
@@ -130,7 +125,11 @@ class GraphStore:
             if ell == 2:
                 al = self.al2
             else:
-                al = ssgraph.split_atkin_lehner(self.adjacency(ell), self.sset)
+                t0 = time.monotonic()
+                t = ssgraph.hecke_matrix(self.sset, ell)
+                log.info("stage=graph p=%d ell=%d vertices=%d dt=%.2fs",
+                         self.p, ell, len(self.sset), time.monotonic() - t0)
+                al = ssgraph.split_atkin_lehner(t, self.sset)
             self._blocks[(ell, "plus")] = al.plus
             self._blocks[(ell, "minus")] = al.minus
         return self._blocks[key]

@@ -162,10 +162,6 @@ def series_inv(a: PowerSeries, absprec: int) -> PowerSeries:
     return PowerSeries(a.p, -a.val, x, absprec)
 
 
-def series_div(a: PowerSeries, b: PowerSeries, absprec: int) -> PowerSeries:
-    return series_mul(a, series_inv(b, absprec - a.val), absprec)
-
-
 def eta_cubed(p: int, n: int) -> PowerSeries:
     """eta(q)^3 / q^(1/8): sum (-1)^k (2k+1) q^(k(k+1)/2), truncated to n terms."""
     if n < 1:
@@ -301,7 +297,7 @@ def reciprocal_expansion(r: RationalFunction, nterms: int) -> np.ndarray:
     revP = np.zeros(M, dtype=np.int64)
     revP[M - len(r.num) :] = r.num[::-1]
     revQ = r.den[::-1].copy()
-    inv = gf._npoly_series_inv(revQ, nterms, p)
+    inv = gf.npoly_series_inv(revQ, nterms, p)
     g = gf.npoly_mul(revP, inv, p)[:nterms]
     out = np.zeros(nterms, dtype=np.int64)
     out[: len(g)] = g

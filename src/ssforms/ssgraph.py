@@ -5,9 +5,10 @@ a CM starting vertex, finding the roots of the classical modular polynomial
 Phi_2(j, y) at each step and reusing the known backward root to drop one
 degree.  Every root of Phi_ell(j_i, y) is again supersingular, so T_ell for
 ell >= 3 needs no root-finding: `hecke_matrix` evaluates Phi_ell(j_i, y) at
-all known vertices at once and reads the neighbours off the zeros.  In both
-builds, rows at Galois-conjugate vertices are filled by conjugating, never
-recomputed.
+all known vertices at once and reads the neighbours off the zeros.  Both
+builds return T_ell as a `SparseSignedMatrix` made from (row, col,
+multiplicity) triples, at most ell+1 per row; no n x n array is built, and
+`split_atkin_lehner` forms the Atkin-Lehner blocks from the same triples.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ class SupersingularSet:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def rational_mask(self) -> np.ndarray:
-        return self.conj == np.arange(len(self.vertices))
-
 
 class _PhiEvaluator:
     """Phi_ell(j, y) as a polynomial in y over F_{p^2}, for varying j."""
@@ -187,12 +185,12 @@ class _PhiEvaluator:
         return gf.poly_trim(out, ctx)
 
 
-def build_adjacency(p: int, ell: int, rng,
-                    start_j: int | None = None) -> tuple[SupersingularSet, np.ndarray]:
-    """Explore the supersingular ell-isogeny graph; B[i][k] = multiplicity of
-    vertex k among the roots of Phi_ell(j_i, y).  Vertices are ordered by
-    discovery, with the Galois conjugate of each new vertex inserted
-    immediately after it."""
+def build_adjacency(p: int, ell: int, rng, start_j: int | None = None
+                    ) -> tuple[SupersingularSet, SparseSignedMatrix]:
+    """Explore the supersingular ell-isogeny graph and return its sparse
+    T_ell: entry (i, k) is the multiplicity of vertex k among the roots of
+    Phi_ell(j_i, y).  Vertices are ordered by discovery, with the Galois
+    conjugate of each new vertex inserted immediately after it."""
     if ell == p:
         raise ValueError("ell must differ from p")
     count = supersingular_count(p)
@@ -219,7 +217,8 @@ def build_adjacency(p: int, ell: int, rng,
         return i
 
     add_vertex(j0)
-    B = np.zeros((count, count), dtype=np.int64)
+    rows: list[int] = []  # one (row, col) pair per root; repeats add up
+    cols: list[int] = []
     queue = [(0, None)]  # (vertex index, known backward root or None)
     head = 0
     while head < len(queue):
@@ -249,15 +248,15 @@ def build_adjacency(p: int, ell: int, rng,
                 kc = conj[k]
                 if kc != k:
                     queue.append((kc, ctx.conj(j)))
-            if B.shape[0] <= max(vi, k):
-                raise GraphError("index overflow")
-            B[vi][k] += 1
+            rows.append(vi)
+            cols.append(k)
     if len(vertices) != count:
         raise GraphError(
             f"BFS found {len(vertices)} vertices, expected {count} "
             f"(p={p}, ell={ell}); non-supersingular start or arithmetic bug"
         )
-    return SupersingularSet(p, ctx, vertices, np.array(conj, dtype=np.int64)), B
+    sset = SupersingularSet(p, ctx, vertices, np.array(conj, dtype=np.int64))
+    return sset, SparseSignedMatrix.from_triples(count, rows, cols, np.ones(len(rows)))
 
 
 # Rows of T_ell matched per step of `hecke_matrix`; its temporaries are
@@ -278,9 +277,9 @@ def _power_table(j_re: np.ndarray, j_im: np.ndarray, deg: int, p: int,
     return re, im
 
 
-def hecke_matrix(sset: SupersingularSet, ell: int) -> np.ndarray:
-    """T_ell in the vertex order of `sset`, which must list every
-    supersingular j: B[i][k] = multiplicity of j_k as a root of
+def hecke_matrix(sset: SupersingularSet, ell: int) -> SparseSignedMatrix:
+    """Sparse T_ell in the vertex order of `sset`, which must list every
+    supersingular j: entry (i, k) is the multiplicity of j_k as a root of
     Phi_ell(j_i, y).
 
     For a block of rows, the y-coefficients of Phi_ell(j_i, y) come from one
@@ -288,7 +287,8 @@ def hecke_matrix(sset: SupersingularSet, ell: int) -> np.ndarray:
     values at every vertex from a second one.  A root's multiplicity is the
     number of leading Hasse derivatives D^m f = sum_k C(k, m) c_k y^(k-m)
     that vanish there; unlike f^(m) / m!, these stay defined when p <= ell+1.
-    Every dot product sums ell+2 terms below (p-1)^2 in int64.
+    Every dot product sums ell+2 terms below (p-1)^2 in int64.  Only
+    _MATCH_BLOCK x n temporaries are built, never an n x n array.
     """
     p, n = sset.p, len(sset)
     if ell == p:
@@ -308,11 +308,11 @@ def hecke_matrix(sset: SupersingularSet, ell: int) -> np.ndarray:
 
     conj = sset.conj
     reps = np.nonzero(conj >= np.arange(n))[0]
-    B = np.zeros((n, n), dtype=np.int64)
+    found = []  # (rows, cols, multiplicities) per block of rows
     for start in range(0, len(reps), _MATCH_BLOCK):
-        rows = reps[start : start + _MATCH_BLOCK]
-        c_re = pw_re[rows] @ coef % p
-        c_im = pw_im[rows] @ coef % p
+        block = reps[start : start + _MATCH_BLOCK]
+        c_re = pw_re[block] @ coef % p
+        c_im = pw_im[block] @ coef % p
         # a root needs a zero real part; the candidates are then checked in
         # full, and their multiplicities counted, one derivative at a time
         val_re = (c_re @ pwt_re % p + xi2 * (c_im @ pwt_im % p)) % p
@@ -331,18 +331,21 @@ def hecke_matrix(sset: SupersingularSet, ell: int) -> np.ndarray:
             if not len(alive):
                 break
             mult[alive] += 1
-        B[rows[r], v] = mult
-    others = np.nonzero(conj < np.arange(n))[0]
-    B[others] = B[conj[others]][:, conj]
-
-    short = np.nonzero(B.sum(axis=1) != deg)[0]
+        rows = block[r]
+        # the row of a non-rational vertex's conjugate is its row, conjugated
+        moved = conj[rows] != rows
+        found += [(rows, v, mult), (conj[rows[moved]], conj[v[moved]], mult[moved])]
+    rows, cols, mults = map(np.concatenate, zip(*found))
+    # the float64 sums of these small counts are exact
+    degree = np.bincount(rows, weights=mults, minlength=n)
+    short = np.nonzero(degree != deg)[0]
     if len(short):
         i = int(short[0])
         raise GraphError(
-            f"vertex {sset.vertices[i]} has {int(B[i].sum())} of {deg} "
+            f"vertex {sset.vertices[i]} has {int(degree[i])} of {deg} "
             f"{ell}-isogenies among the {n} known vertices (p={p}); "
             "incomplete vertex set or arithmetic bug")
-    return B
+    return SparseSignedMatrix.from_triples(n, rows, cols, mults)
 
 
 @dataclass
@@ -353,34 +356,36 @@ class ALSplitMatrices:
     minus_orbits: list[tuple[int, int]]  # (i, conj_i) with i <= conj_i
 
 
-def split_atkin_lehner(B: np.ndarray, sset: SupersingularSet) -> ALSplitMatrices:
+def split_atkin_lehner(T: SparseSignedMatrix, sset: SupersingularSet) -> ALSplitMatrices:
     """Matrices of the operator in the Galois-invariant basis
     {e_j + e_{j^sigma}} (minus block, all orbits) and the anti-invariant
-    basis {e_j - e_{j^sigma}} (plus block, non-rational orbits only)."""
-    conj = sset.conj
-    n = len(sset)
-    minus_orbits = [(i, int(conj[i])) for i in range(n) if i <= conj[i]]
-    plus_orbits = [(i, int(conj[i])) for i in range(n) if i < conj[i]]
-    mi = {o[0]: t for t, o in enumerate(minus_orbits)}
-    pi = {o[0]: t for t, o in enumerate(plus_orbits)}
+    basis {e_j - e_{j^sigma}} (plus block, non-rational orbits only).
 
-    minus = np.zeros((len(minus_orbits), len(minus_orbits)), dtype=np.int64)
-    for (j1, j1c) in minus_orbits:
-        r = mi[j1]
-        row = B[j1] if j1 == j1c else B[j1] + B[j1c]
-        for (j2, j2c) in minus_orbits:
-            minus[r][mi[j2]] = row[j2]
-    plus = np.zeros((len(plus_orbits), len(plus_orbits)), dtype=np.int64)
-    for (j1, j1c) in plus_orbits:
-        r = pi[j1]
-        row = B[j1] - B[j1c]
-        for (j2, j2c) in plus_orbits:
-            plus[r][pi[j2]] = row[j2]
+    Entry (orbit of j1, orbit of j2) sums T[i][j2] over the rows i in the
+    orbit of j1, where j2 is the orbit's first vertex; in the plus block the
+    row of the second vertex j1^sigma enters with sign -1.
+    """
+    conj = sset.conj
+    idx = np.arange(len(sset))
+    first = np.minimum(idx, conj)  # the orbit's first vertex
+    minus_rep, plus_rep = idx <= conj, idx < conj
+    minus_at = np.cumsum(minus_rep) - 1  # orbit number, read at first vertices
+    plus_at = np.cumsum(plus_rep) - 1
+    rows, cols, data = T.triples()
+
+    keep = minus_rep[cols]
+    minus = SparseSignedMatrix.from_triples(
+        int(minus_rep.sum()), minus_at[first[rows[keep]]], minus_at[cols[keep]], data[keep])
+    keep = plus_rep[cols] & (conj[rows] != rows)
+    sign = np.where(plus_rep[rows[keep]], 1, -1)
+    plus = SparseSignedMatrix.from_triples(
+        int(plus_rep.sum()), plus_at[first[rows[keep]]], plus_at[cols[keep]],
+        sign * data[keep])
     return ALSplitMatrices(
-        plus=SparseSignedMatrix.from_dense(plus),
-        minus=SparseSignedMatrix.from_dense(minus),
-        plus_orbits=plus_orbits,
-        minus_orbits=minus_orbits,
+        plus=plus,
+        minus=minus,
+        plus_orbits=list(zip(idx[plus_rep].tolist(), conj[plus_rep].tolist())),
+        minus_orbits=list(zip(idx[minus_rep].tolist(), conj[minus_rep].tolist())),
     )
 
 
@@ -389,28 +394,20 @@ def split_atkin_lehner(B: np.ndarray, sset: SupersingularSet) -> ALSplitMatrices
 # ---------------------------------------------------------------------------
 
 
-def graph_to_text(sset: SupersingularSet, B: np.ndarray) -> str:
+def graph_to_text(sset: SupersingularSet, T: SparseSignedMatrix) -> str:
     lines = [f"{sset.p} {len(sset)}"]
-    for (a, b) in sset.vertices:
-        lines.append(f"{a} {b}")
-    nz = np.nonzero(B)
-    for i, k in zip(*nz):
-        lines.append(f"{i} {k} {B[i][k]}")
+    lines.extend(f"{a} {b}" for (a, b) in sset.vertices)
+    lines.extend(f"{i} {k} {c}" for i, k, c in zip(*(x.tolist() for x in T.triples())))
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> tuple[SupersingularSet, np.ndarray]:
+def graph_from_text(text: str) -> tuple[SupersingularSet, SparseSignedMatrix]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     p, count = map(int, lines[0].split())
     ctx = gf.QuadExtCtx(gf.PrimeFieldCtx(p))
-    vertices = []
-    for ln in lines[1 : 1 + count]:
-        a, b = map(int, ln.split())
-        vertices.append((a, b))
+    numbers = np.array(" ".join(lines[1:]).split(), dtype=np.int64)
+    vertices = list(map(tuple, numbers[: 2 * count].reshape(-1, 2).tolist()))
     index = {v: i for i, v in enumerate(vertices)}
     conj = np.array([index[ctx.conj(v)] for v in vertices], dtype=np.int64)
-    B = np.zeros((count, count), dtype=np.int64)
-    for ln in lines[1 + count :]:
-        i, k, c = map(int, ln.split())
-        B[i][k] = c
-    return SupersingularSet(p, ctx, vertices, conj), B
+    T = SparseSignedMatrix.from_triples(count, *numbers[2 * count :].reshape(-1, 3).T)
+    return SupersingularSet(p, ctx, vertices, conj), T

@@ -222,6 +222,55 @@ def small_factor_profile(chi: list[int], candidates_by_degree) -> tuple[list, in
 
 
 # ---------------------------------------------------------------------------
+# Dense Atkin-Lehner split
+# ---------------------------------------------------------------------------
+
+
+def dense_split_atkin_lehner(B: np.ndarray, sset):
+    """The Atkin-Lehner blocks of the dense matrix B, orbit pair by orbit
+    pair: row sums over each orbit read at its first vertex, with the
+    conjugate row subtracted in the plus block."""
+    from ssforms.ssgraph import ALSplitMatrices
+
+    conj = sset.conj
+    n = len(sset)
+    minus_orbits = [(i, int(conj[i])) for i in range(n) if i <= conj[i]]
+    plus_orbits = [(i, int(conj[i])) for i in range(n) if i < conj[i]]
+    mi = {o[0]: t for t, o in enumerate(minus_orbits)}
+    pi = {o[0]: t for t, o in enumerate(plus_orbits)}
+
+    minus = np.zeros((len(minus_orbits), len(minus_orbits)), dtype=np.int64)
+    for (j1, j1c) in minus_orbits:
+        r = mi[j1]
+        row = B[j1] if j1 == j1c else B[j1] + B[j1c]
+        for (j2, j2c) in minus_orbits:
+            minus[r][mi[j2]] = row[j2]
+    plus = np.zeros((len(plus_orbits), len(plus_orbits)), dtype=np.int64)
+    for (j1, j1c) in plus_orbits:
+        r = pi[j1]
+        row = B[j1] - B[j1c]
+        for (j2, j2c) in plus_orbits:
+            plus[r][pi[j2]] = row[j2]
+    return ALSplitMatrices(
+        plus=_scipy_compressed(plus),
+        minus=_scipy_compressed(minus),
+        plus_orbits=plus_orbits,
+        minus_orbits=minus_orbits,
+    )
+
+
+def _scipy_compressed(arr: np.ndarray):
+    """The SparseSignedMatrix of arr, compressed by scipy rather than by the
+    package's own constructors."""
+    import scipy.sparse as sp
+    from ssforms.linalg import SparseSignedMatrix
+
+    csr = sp.csr_matrix(arr)
+    csr.sort_indices()
+    return SparseSignedMatrix(arr.shape[0], csr.indptr, csr.indices, csr.data)
+
+
+# ---------------------------------------------------------------------------
 # Naive Mestre sum over F_{p^2}
 # ---------------------------------------------------------------------------
 

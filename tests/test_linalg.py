@@ -171,3 +171,51 @@ def test_sparse_traces_match_dense(rng):
             M = linalg.SparseSignedMatrix.from_dense(A)
             assert M.trace() == int(np.trace(A))
             assert M.trace_of_square() == int(np.trace(A @ A))
+
+
+def test_from_triples_sums_drops_and_sorts():
+    M = linalg.SparseSignedMatrix.from_triples(
+        3, [2, 0, 2, 0, 1, 1], [1, 2, 1, 0, 1, 1], [1, 5, 2, -4, 3, -3])
+    assert M.indptr.tolist() == [0, 2, 2, 3]
+    assert M.indices.tolist() == [0, 2, 1]
+    assert M.data.tolist() == [-4, 5, 3]
+    assert M.to_dense().tolist() == [[-4, 0, 5], [0, 0, 0], [0, 3, 0]]
+    rows, cols, data = M.triples()
+    assert (rows.tolist(), cols.tolist(), data.tolist()) == ([0, 0, 2], [0, 2, 1], [-4, 5, 3])
+    E = linalg.SparseSignedMatrix.from_triples(0, [], [], [])
+    assert E.indptr.tolist() == [0] and not len(E.indices) and E.to_dense().shape == (0, 0)
+
+
+def test_from_dense_matches_scipy(rng):
+    import scipy.sparse as sp
+
+    for n in (0, 1, 2, 7, 30):
+        for density in (0.05, 0.3, 1.0):
+            A = rng.integers(-4, 5, (n, n)) * (rng.random((n, n)) < density)
+            M = linalg.SparseSignedMatrix.from_dense(A)
+            want = sp.csr_matrix(A)
+            want.sort_indices()
+            assert M.indptr.tolist() == want.indptr.tolist()
+            assert M.indices.tolist() == want.indices.tolist()
+            assert M.data.tolist() == want.data.tolist()
+            assert M.indptr.dtype == M.indices.dtype == M.data.dtype == np.int64
+            # the same entries, split into pieces and shuffled, sum back to A
+            r, c = np.nonzero(A)
+            r, c, v = np.repeat(r, 2), np.repeat(c, 2), np.repeat(A[r, c], 2)
+            v[::2] += 7
+            v[1::2] = -7
+            order = rng.permutation(len(r))
+            T = linalg.SparseSignedMatrix.from_triples(n, r[order], c[order], v[order])
+            assert (T.to_dense() == A).all()
+            assert T.data.tolist() == want.data.tolist()
+
+
+def test_matvec_exact_big_entries(rng):
+    A = rng.integers(-4, 5, (9, 9)) * (rng.random((9, 9)) < 0.4)
+    M = linalg.SparseSignedMatrix.from_dense(A)
+    for v in ([3**45 - k for k in range(9)],
+              np.array([2**41 + k for k in range(9)], dtype=np.int64)):
+        want = [sum(int(A[i, k]) * int(v[k]) for k in range(9)) for i in range(9)]
+        got = M.matvec_exact(np.array(v, dtype=object) if isinstance(v, list) else v)
+        assert got.dtype == object and all(type(x) is int for x in got)
+        assert got.tolist() == want

@@ -7,13 +7,13 @@ from ssforms import gf, lift, linalg, mestre, numfield, series, ssgraph
 
 
 def _level_setup(p, rng):
-    sset, B = ssgraph.build_adjacency(p, 2, rng)
-    al = ssgraph.split_atkin_lehner(B, sset)
-    return sset, B, al
+    sset, T = ssgraph.build_adjacency(p, 2, rng)
+    al = ssgraph.split_atkin_lehner(T, sset)
+    return sset, T, al
 
 
 def test_unfold_rules(rng):
-    sset, B, al = _level_setup(37, rng)  # one rational vertex + one pair
+    sset, T, al = _level_setup(37, rng)  # one rational vertex + one pair
     pairs = al.minus_orbits
     u = np.array([1] * len(pairs), dtype=np.int64)
     leaves = mestre.unfold(u, "minus", sset, pairs)
@@ -33,7 +33,7 @@ def test_unfold_rules(rng):
 
 def test_unfold_weight_scaling(rng):
     # at p = 11 both vertices are rational with weights 3 (j=0) and 2 (j=1728)
-    sset, B, al = _level_setup(11, rng)
+    sset, T, al = _level_setup(11, rng)
     leaves = mestre.unfold(np.array([1, 1]), "minus", sset, al.minus_orbits)
     gammas = sorted(int(lv.num[0]) for lv in leaves)
     # 2*u*6/3 = 4 at j = 0 and 2*u*6/2 = 6 at j = 1728
@@ -59,7 +59,7 @@ def _cuspidal_vectors(p, al, rng):
 
 def test_mestre_rhs_matches_naive_sum(rng):
     for p in (11, 23):
-        sset, B, al = _level_setup(p, rng)
+        sset, T, al = _level_setup(p, rng)
         pairs = al.minus_orbits
         for u in _cuspidal_vectors(p, al, rng):
             psi = mestre.mestre_rhs(u, "minus", sset, pairs, *series.j_series(p, 40), 34)
@@ -84,7 +84,7 @@ def test_mestre_rhs_eisenstein_smoke(rng):
     # stays F_p-rational (rationality is structural in this implementation,
     # exercised against the F_{p^2} oracle elsewhere)
     p = 23
-    sset, B, al = _level_setup(p, rng)
+    sset, T, al = _level_setup(p, rng)
     ones = np.ones(len(al.minus_orbits), dtype=np.int64)
     psi = mestre.mestre_rhs(ones, "minus", sset, al.minus_orbits,
                             *series.j_series(p, 40), 34, expect_cuspidal=False)
@@ -96,7 +96,7 @@ def test_mestre_rhs_eisenstein_smoke(rng):
 
 def test_mestre_rhs_anti_invariant_naive(rng):
     p = 37
-    sset, B, al = _level_setup(p, rng)
+    sset, T, al = _level_setup(p, rng)
     pairs = al.plus_orbits
     u = np.array([2], dtype=np.int64)
     psi = mestre.mestre_rhs(u, "plus", sset, pairs, *series.j_series(p, 40), 34)
@@ -141,14 +141,14 @@ def test_mestre_rhs_anti_invariant_naive(rng):
 
 def test_eigenvalue_of_examples(rng):
     # p = 11: a_2 = -2, a_3 = -1, matching point counts on conductor-11 curve
-    sset, B, al = _level_setup(11, rng)
+    sset, T, al = _level_setup(11, rng)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
     fld = numfield.NumberField([2, 1])
     evec = [fld.elt([Fraction(int(x))]) for x in v]
     assert mestre.eigenvalue_of(evec, al.minus, fld) == fld.elt([-2])
-    s3, B3 = ssgraph.build_adjacency(11, 3, rng)
-    al3 = ssgraph.split_atkin_lehner(B3, s3)
+    s3, T3 = ssgraph.build_adjacency(11, 3, rng)
+    al3 = ssgraph.split_atkin_lehner(T3, s3)
     a3 = mestre.eigenvalue_of(evec, al3.minus, fld)
     curve = oracles.GOLDEN_CURVES[11][0]
     assert a3 == fld.elt([oracles.curve_ap(curve, 3, 11)])
@@ -212,7 +212,7 @@ def test_ambiguous_lift_aborts(rng):
     # exact override: the assembly must abort rather than guess
     from ssforms import pipeline
 
-    sset, B, al = _level_setup(11, rng)
+    sset, T, al = _level_setup(11, rng)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
     orbit = lift.GaloisOrbit(level=11, block="minus", rho=(2, 1), multiplicity=1,

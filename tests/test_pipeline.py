@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssforms import pipeline
+from ssforms import pipeline, ssgraph
 
 
 def test_run_level_p11():
@@ -147,3 +147,21 @@ def test_dead_worker_fails_only_its_level(monkeypatch):
     assert by_level[19].status == "failed"
     assert "BrokenProcessPool" in by_level[19].error
     assert all(r.status == "ok" for p, r in by_level.items() if p != 19)
+
+
+def test_graph_store_builds_no_dense_matrix():
+    """At p = 30011 (n = 2502) one dense n x n int64 matrix takes 48 MiB; the
+    ell=2 walk, T_3 and their Atkin-Lehner blocks together stay below it."""
+    import tracemalloc
+
+    p = 30011
+    dense_bytes = ssgraph.supersingular_count(p) ** 2 * 8
+    tracemalloc.start()
+    try:
+        store = pipeline.GraphStore(p, np.random.default_rng(0), None)
+        minus = store.block(3, "minus")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert minus.n == len(store.al2.minus_orbits)
+    assert peak < dense_bytes, (peak / 2**20, dense_bytes / 2**20)

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from ssforms import gf, ssgraph
-from ssforms.linalg import NU_DEFAULTS
+from ssforms.linalg import NU_DEFAULTS, SparseSignedMatrix
 
 
 def test_supersingular_count_examples():
@@ -59,16 +59,18 @@ def test_modular_polynomial_table():
 
 
 def test_adjacency_examples(rng):
-    sset, B = ssgraph.build_adjacency(11, 2, rng)
+    sset, T = ssgraph.build_adjacency(11, 2, rng)
+    assert isinstance(T, SparseSignedMatrix)
     assert sset.vertices == [(0, 0), (1, 0)]
-    assert B.tolist() == [[0, 3], [2, 1]]
-    sset13, B13 = ssgraph.build_adjacency(13, 2, rng)
-    assert len(sset13) == 1 and B13.tolist() == [[3]]
+    assert T.to_dense().tolist() == [[0, 3], [2, 1]]
+    sset13, T13 = ssgraph.build_adjacency(13, 2, rng)
+    assert len(sset13) == 1 and T13.to_dense().tolist() == [[3]]
 
 
 def test_row_sums_and_equivariance(rng):
     for p, ell in [(11, 2), (37, 2), (101, 2), (101, 3), (199, 5)]:
-        sset, B = ssgraph.build_adjacency(p, ell, rng)
+        sset, T = ssgraph.build_adjacency(p, ell, rng)
+        B = T.to_dense()
         assert (B.sum(axis=1) == ell + 1).all()
         c = sset.conj
         n = len(sset)
@@ -77,7 +79,8 @@ def test_row_sums_and_equivariance(rng):
 
 def test_weighted_symmetry(rng):
     for p, ell in [(11, 2), (23, 2), (101, 2), (101, 3)]:
-        sset, B = ssgraph.build_adjacency(p, ell, rng)
+        sset, T = ssgraph.build_adjacency(p, ell, rng)
+        B = T.to_dense()
         w = np.ones(len(sset), dtype=np.int64)
         for i, v in enumerate(sset.vertices):
             if v == (0, 0):
@@ -94,11 +97,11 @@ def test_al_split_examples(rng):
     al = ssgraph.split_atkin_lehner(B, sset)
     assert al.plus.n == 0
     assert al.minus.to_dense().tolist() == [[0, 3], [2, 1]]
-    sset37, B37 = ssgraph.build_adjacency(37, 2, rng)
-    al37 = ssgraph.split_atkin_lehner(B37, sset37)
+    sset37, T37 = ssgraph.build_adjacency(37, 2, rng)
+    al37 = ssgraph.split_atkin_lehner(T37, sset37)
     assert al37.plus.n + al37.minus.n == 3
     nu = NU_DEFAULTS[0]
-    chi_b = oracles.hessenberg_charpoly_mod(B37, nu)
+    chi_b = oracles.hessenberg_charpoly_mod(T37.to_dense(), nu)
     chi_p = oracles.hessenberg_charpoly_mod(al37.plus.to_dense(), nu)
     chi_m = oracles.hessenberg_charpoly_mod(al37.minus.to_dense(), nu)
     assert gf.npoly_mul(chi_p, chi_m, nu).tolist() == chi_b.tolist()
@@ -108,10 +111,10 @@ def test_chi_product_and_eisenstein(rng):
     nus = NU_DEFAULTS[:3]
     for p in (11, 23, 37, 101, 389, 503):
         for ell in (2, 3):
-            sset, B = ssgraph.build_adjacency(p, ell, rng)
-            al = ssgraph.split_atkin_lehner(B, sset)
+            sset, T = ssgraph.build_adjacency(p, ell, rng)
+            al = ssgraph.split_atkin_lehner(T, sset)
             nu = nus[0]
-            chi_b = oracles.hessenberg_charpoly_mod(B, nu)
+            chi_b = oracles.hessenberg_charpoly_mod(T.to_dense(), nu)
             chi_p = oracles.hessenberg_charpoly_mod(al.plus.to_dense(), nu)
             chi_m = oracles.hessenberg_charpoly_mod(al.minus.to_dense(), nu)
             assert gf.npoly_mul(chi_p, chi_m, nu).tolist() == chi_b.tolist()
@@ -129,14 +132,14 @@ def test_chi_product_and_eisenstein(rng):
 def test_bfs_start_independence(rng):
     # the characteristic polynomial must not depend on the starting vertex
     p = 101
-    sset, B = ssgraph.build_adjacency(p, 2, rng)
+    sset, T = ssgraph.build_adjacency(p, 2, rng)
     nu = NU_DEFAULTS[0]
-    chi = oracles.hessenberg_charpoly_mod(B, nu)
+    chi = oracles.hessenberg_charpoly_mod(T.to_dense(), nu)
     rational = [v[0] for v in sset.vertices if v[1] == 0]
     for j0 in rational[:3]:
-        s2, B2 = ssgraph.build_adjacency(p, 2, rng, start_j=j0)
+        s2, T2 = ssgraph.build_adjacency(p, 2, rng, start_j=j0)
         assert sorted(s2.vertices) == sorted(sset.vertices)
-        assert oracles.hessenberg_charpoly_mod(B2, nu).tolist() == chi.tolist()
+        assert oracles.hessenberg_charpoly_mod(T2.to_dense(), nu).tolist() == chi.tolist()
 
 
 def test_bfs_wrong_start_fails_loudly(rng):
@@ -149,34 +152,52 @@ def test_bfs_wrong_start_fails_loudly(rng):
 
 
 def test_graph_cache_roundtrip(rng):
-    sset, B = ssgraph.build_adjacency(101, 2, rng)
-    text = ssgraph.graph_to_text(sset, B)
-    s2, B2 = ssgraph.graph_from_text(text)
+    sset, T = ssgraph.build_adjacency(101, 2, rng)
+    text = ssgraph.graph_to_text(sset, T)
+    s2, T2 = ssgraph.graph_from_text(text)
     assert s2.vertices == sset.vertices
-    assert (B2 == B).all()
+    for f in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(T2, f), getattr(T, f))
     assert (s2.conj == sset.conj).all()
+    assert ssgraph.graph_to_text(s2, T2) == text
+
+
+# The level-37 cache file, as written by the dense-matrix graph store: one
+# rational vertex and one conjugate pair, with a double edge
+GRAPH_37 = "37 3\n8 0\n3 10\n3 27\n0 0 1\n0 1 1\n0 2 1\n1 0 1\n1 2 2\n2 0 1\n2 1 2\n"
+
+
+def test_graph_cache_format_is_stable():
+    sset, T = ssgraph.build_adjacency(37, 2, np.random.default_rng([0, 37]))
+    assert ssgraph.graph_to_text(sset, T) == GRAPH_37
+    s2, T2 = ssgraph.graph_from_text(GRAPH_37)
+    assert s2.vertices == [(8, 0), (3, 10), (3, 27)]
+    assert s2.conj.tolist() == [0, 2, 1]
+    assert T2.to_dense().tolist() == [[1, 1, 1], [1, 0, 2], [1, 2, 0]]
+    assert ssgraph.graph_to_text(s2, T2) == GRAPH_37
 
 
 def _bfs_in_order(sset, ell, rng):
     """build_adjacency's T_ell, re-indexed to the vertex order of sset."""
-    s_ell, B = ssgraph.build_adjacency(sset.p, ell, rng)
+    s_ell, T = ssgraph.build_adjacency(sset.p, ell, rng)
     pos = {v: i for i, v in enumerate(s_ell.vertices)}
     perm = np.array([pos[v] for v in sset.vertices], dtype=np.int64)
-    return B[np.ix_(perm, perm)]
+    return T.to_dense()[np.ix_(perm, perm)]
 
 
 def test_hecke_matrix_matches_bfs(rng):
     small_p = multi_edge = 0
     for p in range(5, 301):
-        if not gf._is_probable_prime(p):
+        if not gf.is_probable_prime(p):
             continue
         sset, _ = ssgraph.build_adjacency(p, 2, rng)
         special = [i for i, v in enumerate(sset.vertices) if v in ((0, 0), (1728 % p, 0))]
         for ell in (3, 5, 7, 11, 13):
             if ell == p:
                 continue
-            B = ssgraph.hecke_matrix(sset, ell)
-            assert B.dtype == np.int64
+            T = ssgraph.hecke_matrix(sset, ell)
+            assert isinstance(T, SparseSignedMatrix)
+            B = T.to_dense()
             assert (B == _bfs_in_order(sset, ell, rng)).all(), (p, ell)
             small_p += p <= ell + 1
             multi_edge += int((B[special] > 1).any())
@@ -187,14 +208,14 @@ def test_hecke_matrix_matches_bfs(rng):
 
 def test_hecke_matrix_matches_bfs_1399_ell13(rng):
     sset, _ = ssgraph.build_adjacency(1399, 2, rng)
-    B = ssgraph.hecke_matrix(sset, 13)
-    assert (B == _bfs_in_order(sset, 13, rng)).all()
+    T = ssgraph.hecke_matrix(sset, 13)
+    assert (T.to_dense() == _bfs_in_order(sset, 13, rng)).all()
 
 
 def test_hecke_matrix_missing_vertex_fails_loudly(rng):
     sset, _ = ssgraph.build_adjacency(101, 2, rng)
     # drop one F_p-rational vertex; the conjugation map stays an involution
-    drop = int(np.nonzero(sset.rational_mask())[0][-1])
+    drop = int(np.nonzero(sset.conj == np.arange(len(sset)))[0][-1])
     keep = [v for i, v in enumerate(sset.vertices) if i != drop]
     index = {v: i for i, v in enumerate(keep)}
     conj = np.array([index[sset.ctx.conj(v)] for v in keep], dtype=np.int64)
@@ -214,3 +235,33 @@ def test_hecke_matrix_overflow_guard():
     with pytest.raises(gf.ModulusError):
         ssgraph.hecke_matrix(sset, 7)
     assert (3 + 2) * (p - 1) ** 2 < 2**63  # ell = 3 stays inside the bound
+
+
+def _same_csr(a, b):
+    return a.n == b.n and all(np.array_equal(getattr(a, f), getattr(b, f))
+                              for f in ("indptr", "indices", "data"))
+
+
+def _check_split_against_dense(sset, T):
+    al = ssgraph.split_atkin_lehner(T, sset)
+    want = oracles.dense_split_atkin_lehner(T.to_dense(), sset)
+    assert _same_csr(al.plus, want.plus) and _same_csr(al.minus, want.minus)
+    assert al.plus_orbits == want.plus_orbits
+    assert al.minus_orbits == want.minus_orbits
+
+
+def test_split_matches_dense_oracle(rng):
+    for p in range(5, 301):
+        if not gf.is_probable_prime(p):
+            continue
+        sset, T2 = ssgraph.build_adjacency(p, 2, rng)
+        _check_split_against_dense(sset, T2)
+        for ell in (3, 5, 7, 11, 13):
+            if ell != p:
+                _check_split_against_dense(sset, ssgraph.hecke_matrix(sset, ell))
+
+
+def test_split_matches_dense_oracle_7001(rng):
+    sset, T = ssgraph.build_adjacency(7001, 2, rng)
+    assert (sset.conj != np.arange(len(sset))).any()
+    _check_split_against_dense(sset, T)
