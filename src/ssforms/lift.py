@@ -528,16 +528,16 @@ def _rank_mod_inc(rows: list[np.ndarray], nu: int) -> int:
     return rank_mod(np.array(rows, dtype=np.int64), nu)
 
 
-def _shell_columns(m: int, bound: int):
-    """Candidate column tuples in {-bound..bound}^m grouped by sum of squares,
-    ascending; the zero tuple is skipped."""
-    by_size: dict[int, list] = {}
-    for tup in itertools.product(range(-bound, bound + 1), repeat=m):
-        s = sum(x * x for x in tup)
-        if s == 0:
-            continue
-        by_size.setdefault(s, []).append(tup)
-    return [by_size[s] for s in sorted(by_size)]
+def _shell_columns(m: int, bound: int) -> tuple[list[int], list[np.ndarray]]:
+    """Candidate columns in {-bound..bound}^m grouped by sum of squares:
+    (the sums, ascending; per sum, the columns as rows of an array in
+    lexicographic order).  The zero column is skipped."""
+    grid = np.indices((2 * bound + 1,) * m).reshape(m, -1).T - bound
+    sizes = (grid * grid).sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    grid, sizes = grid[order], sizes[order]
+    starts = np.flatnonzero(np.diff(sizes)) + 1  # group 0 is the zero column
+    return sizes[starts].tolist(), np.split(grid, starts)[1:]
 
 
 def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
@@ -620,8 +620,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
         size = sum((1.0 / pool_freq[i]) ** 2 for i in combo)
         combos.append((size, combo))
     combos.sort()
-    shells = _shell_columns(mdim, config.column_entry_bound)
-    shell_sizes = [sum(x * x for x in shell[0]) for shell in shells]
+    shell_sizes, shells = _shell_columns(mdim, config.column_entry_bound)
 
     # ordered walk over (row-combo) x (column-shell) by product of sizes
     import heapq
@@ -646,9 +645,9 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
             inv_cache[ci] = rinv
         if rinv is None:
             continue
-        for ctup in shells[si]:
+        for column in shells[si]:
             attempts += 1
-            cvec = np.array(ctup, dtype=np.int64) % nu
+            cvec = column % nu
             lcomb = rinv @ cvec % nu
             w = _lift_smallest(cols @ lcomb % nu, nu)
             if not w.any():

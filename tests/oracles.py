@@ -8,6 +8,7 @@ package implementations it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -268,6 +269,17 @@ def _scipy_compressed(arr: np.ndarray):
     csr = sp.csr_matrix(arr)
     csr.sort_indices()
     return SparseSignedMatrix(arr.shape[0], csr.indptr, csr.indices, csr.data)
+
+
+def shell_columns(m: int, bound: int) -> list[list[tuple]]:
+    """Column tuples in {-bound..bound}^m grouped by sum of squares,
+    ascending, each group in itertools.product order; no zero tuple."""
+    by_size: dict[int, list] = {}
+    for tup in itertools.product(range(-bound, bound + 1), repeat=m):
+        s = sum(x * x for x in tup)
+        if s:
+            by_size.setdefault(s, []).append(tup)
+    return [by_size[s] for s in sorted(by_size)]
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,14 @@ def test_lift_highdim_p23(rng):
         assert int(np.gcd.reduce(np.abs(w[w != 0]))) == 1
 
 
+@pytest.mark.parametrize("m, bound", [(1, 3), (2, 1), (2, 3), (3, 2), (4, 3), (5, 2), (6, 3)])
+def test_shell_columns_match_product_order(m, bound):
+    sizes, shells = lift._shell_columns(m, bound)
+    expected = oracles.shell_columns(m, bound)
+    assert [[tuple(c.tolist()) for c in shell] for shell in shells] == expected
+    assert sizes == [sum(x * x for x in shell[0]) for shell in expected]
+
+
 def test_factor_divides_mod_nu_but_not_over_z(rng):
     # companion blocks of (t^2 - t - 1)(t^2 - 2); mod nu = 5 the candidate
     # t + 2 divides chi_nu ((-2)^2 - (-2) - 1 = 5) but has no integer lift,
