@@ -528,16 +528,37 @@ def _rank_mod_inc(rows: list[np.ndarray], nu: int) -> int:
     return rank_mod(np.array(rows, dtype=np.int64), nu)
 
 
-def _shell_columns(m: int, bound: int) -> tuple[list[int], list[np.ndarray]]:
+def _shell_columns(m: int, bound: int, cap: int) -> tuple[list[int], list[np.ndarray]]:
     """Candidate columns in {-bound..bound}^m grouped by sum of squares:
     (the sums, ascending; per sum, the columns as rows of an array in
-    lexicographic order).  The zero column is skipped."""
-    grid = np.indices((2 * bound + 1,) * m).reshape(m, -1).T - bound
-    sizes = (grid * grid).sum(axis=1)
+    lexicographic order).  The zero column is skipped.
+
+    Only the shells up to the first whose cumulative column count reaches
+    cap are built (all of them when the grid has fewer columns): a search
+    that stops after cap columns cannot get past it, and the
+    (2*bound + 1)^m grid is never formed."""
+    vals = np.arange(-bound, bound + 1, dtype=np.int64)
+    # columns per sum of squares: the coefficients of (sum_x z^(x^2))^m
+    one = np.zeros(bound * bound + 1, dtype=object)
+    np.add.at(one, vals * vals, 1)
+    per_sum = np.array([1], dtype=object)
+    for _ in range(m):
+        per_sum = np.convolve(per_sum, one)
+    reached = np.flatnonzero(np.cumsum(per_sum[1:]) >= cap)
+    top = int(reached[0]) + 1 if len(reached) else m * bound * bound
+    # prefixes in lexicographic order, pruned to partial sums <= top
+    cols = np.zeros((1, 0), dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        cols = np.concatenate([np.repeat(cols, len(vals), axis=0),
+                               np.tile(vals, len(cols))[:, None]], axis=1)
+        sizes = np.repeat(sizes, len(vals)) + np.tile(vals * vals, len(sizes))
+        keep = sizes <= top
+        cols, sizes = cols[keep], sizes[keep]
     order = np.argsort(sizes, kind="stable")
-    grid, sizes = grid[order], sizes[order]
+    cols, sizes = cols[order], sizes[order]
     starts = np.flatnonzero(np.diff(sizes)) + 1  # group 0 is the zero column
-    return sizes[starts].tolist(), np.split(grid, starts)[1:]
+    return sizes[starts].tolist(), np.split(cols, starts)[1:]
 
 
 def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
@@ -620,7 +641,8 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
         size = sum((1.0 / pool_freq[i]) ** 2 for i in combo)
         combos.append((size, combo))
     combos.sort()
-    shell_sizes, shells = _shell_columns(mdim, config.column_entry_bound)
+    shell_sizes, shells = _shell_columns(mdim, config.column_entry_bound,
+                                         config.highdim_attempt_cap)
 
     # ordered walk over (row-combo) x (column-shell) by product of sizes
     import heapq

@@ -1,6 +1,13 @@
 """Sparse exact linear algebra over F_nu: Wiedemann minimal polynomial with
 shift/retry/modulus variation, Berlekamp-Massey, and characteristic-polynomial
 completion from trace coefficients and eigenspace-dimension bounds.
+
+Each Krylov probe records the sequence of one main coordinate and of a few
+extra columns.  Berlekamp-Massey (numpy, one chunked dot product per step)
+always runs on the main coordinate; an extra column runs it only when the
+current candidate fails to annihilate that column's whole sequence, checked
+by one vectorised residual.  When the candidate does annihilate it, the
+column's recurrence divides the candidate, so skipping it changes nothing.
 """
 
 from __future__ import annotations
@@ -111,6 +118,22 @@ def matvec(m: SparseSignedMatrix, v: np.ndarray, nu: int) -> np.ndarray:
     return m.matvec_mod(np.asarray(v, dtype=np.int64) % nu, nu)
 
 
+def _dot_mod(a: np.ndarray, x: np.ndarray, nu: int):
+    """(a @ x) mod nu, for a vector or a matrix a and int64 entries in [0, nu).
+
+    A product is below (nu - 1)^2, so a sum of up to (2^63 - 1) // (nu - 1)^2
+    of them fits in int64: one chunk for every length below 2^23 when
+    nu < 2^20, and 8 terms at nu = 2^30 - 35.  Longer sums are split into
+    chunks of that many terms, each reduced mod nu before they are added."""
+    if not 2 <= nu <= gf.MAX_MODULUS:
+        raise gf.ModulusError(f"modulus {nu} is outside [2, {gf.MAX_MODULUS}]")
+    chunk = (2**63 - 1) // (nu - 1) ** 2
+    if len(x) <= chunk:
+        return (a @ x) % nu
+    return sum((a[..., i : i + chunk] @ x[i : i + chunk]) % nu
+               for i in range(0, len(x), chunk)) % nu
+
+
 def berlekamp_massey(seq, nu: int) -> np.ndarray:
     """Monic minimal-length recurrence polynomial of a scalar sequence mod nu.
 
@@ -118,41 +141,55 @@ def berlekamp_massey(seq, nu: int) -> np.ndarray:
     sum_j mu[j] s[k+j] = 0 for all valid k.  Raises SingularRecurrenceError
     when the minimal recurrence has zero constant term (the matrix behind the
     sequence is singular; callers respond by shifting the spectrum).
+
+    The connection polynomials C and B live in preallocated int64 arrays;
+    len_c and len_b are their logical lengths, which never exceed len(seq).
+    Each step's discrepancy is one chunked dot product, and each update one
+    slice operation, whose products coef * B stay below nu^2 <= 2^60 because
+    _dot_mod has already rejected any larger nu.
     """
-    s = [int(x) % nu for x in seq]
-    C = [1]
-    B = [1]
+    s = np.asarray(seq)
+    if s.dtype.kind == "i":
+        s = s.astype(np.int64) % nu
+    else:
+        s = np.array([int(x) % nu for x in seq], dtype=np.int64)
+    N = len(s)
+    rev = s[::-1].copy()  # rev[N-1-n : N-n+L] = s[n], s[n-1], ..., s[n-L]
+    C = np.zeros(N + 1, dtype=np.int64)
+    B = np.zeros(N + 1, dtype=np.int64)
+    C[0] = B[0] = 1
+    len_c = len_b = 1
     L, m, b = 0, 1, 1
-    for n_ in range(len(s)):
-        d = s[n_]
-        for i in range(1, L + 1):
-            d = (d + C[i] * s[n_ - i]) % nu
+    for n_ in range(N):
+        d = int(_dot_mod(C[: L + 1], rev[N - 1 - n_ : N - n_ + L], nu))
         if d == 0:
             m += 1
             continue
+        coef = d * pow(b, -1, nu) % nu
+        new_len = max(len_c, len_b + m)
         if 2 * L <= n_:
-            T = list(C)
-            coef = d * pow(b, -1, nu) % nu
-            C = C + [0] * (len(B) + m - len(C))
-            for i, x in enumerate(B):
-                C[i + m] = (C[i + m] - coef * x) % nu
-            B = T
+            T = C[:len_c].copy()
+            C[m : m + len_b] = (C[m : m + len_b] - coef * B[:len_b]) % nu
+            B[:len_c] = T
+            len_b, len_c = len_c, new_len
             L = n_ + 1 - L
             b = d
             m = 1
         else:
-            coef = d * pow(b, -1, nu) % nu
-            C = C + [0] * max(0, len(B) + m - len(C))
-            for i, x in enumerate(B):
-                C[i + m] = (C[i + m] - coef * x) % nu
+            C[m : m + len_b] = (C[m : m + len_b] - coef * B[:len_b]) % nu
+            len_c = new_len
             m += 1
     # connection poly C(x) = 1 + c_1 x + ... ; monic recurrence = reversal
-    mu = np.array(C[L::-1] if L + 1 <= len(C) else C[::-1], dtype=np.int64)
-    if len(mu) < L + 1:
-        mu = np.concatenate([np.zeros(L + 1 - len(mu), dtype=np.int64), mu])
-    if mu[0] % nu == 0:
+    mu = C[L::-1].copy()
+    if mu[0] == 0:
         raise SingularRecurrenceError("minimal recurrence divisible by t")
     return mu
+
+
+def _annihilates_sequence(f: np.ndarray, s: np.ndarray, nu: int) -> bool:
+    """sum_i f[i] s[j+i] = 0 mod nu for every window j of s."""
+    windows = np.lib.stride_tricks.sliding_window_view(s, len(f))
+    return not _dot_mod(windows, f, nu).any()
 
 
 def taylor_shift(f: np.ndarray, k: int, nu: int) -> np.ndarray:
@@ -257,22 +294,34 @@ def annihilates(poly: np.ndarray, m: SparseSignedMatrix, nu: int, rng,
 
 
 def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: int,
-                      budget: int) -> tuple[np.ndarray, list[KrylovTrace]]:
+                      budget: int, stats: dict | None = None
+                      ) -> tuple[np.ndarray, list[KrylovTrace]]:
     """Single-modulus probing schedule: up to `budget` (u, i) probes, with the
     shift incremented whenever Berlekamp-Massey signals a singular reduction.
     Returns the highest-degree un-shifted candidate, verified to annihilate
-    fresh random vectors, and all stored traces."""
+    fresh random vectors, and all stored traces.
+
+    Each probe runs Berlekamp-Massey on its main coordinate.  An extra
+    column's sequence is first checked against best(t - k), the current
+    candidate in the shifted variable; Berlekamp-Massey runs on it only when
+    that check fails, so a probe usually costs one run.  `stats`, when given,
+    counts the runs ("bm_runs") and the skipped columns ("bm_skipped")."""
     n = m.n
     traces: list[KrylovTrace] = []
     best: np.ndarray | None = None
     k = params.shift0
     singular = 0
     attempts = 0
+    if stats is None:
+        stats = {}
+    stats.setdefault("bm_runs", 0)
+    stats.setdefault("bm_skipped", 0)
     while attempts < budget:
         u = _random_start_vector(n, params.density, rng, nu)
         i = int(rng.integers(0, n))
         cols = rng.choice(n, size=min(n, params.extra_probe_columns), replace=False)
         seq, window, extra = krylov_probe(m, nu, k, u, i, params.window_size, cols)
+        stats["bm_runs"] += 1
         try:
             mu_sh = berlekamp_massey(seq, nu)
         except SingularRecurrenceError:
@@ -289,12 +338,25 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
         # lcm of several coordinates' recurrences from the same iterate pass
         # is the honest joint candidate
         best = mu if best is None else gf.npoly_lcm(best, mu, nu)
+        best_sh = taylor_shift(best, -k, nu)
         for c in range(extra.shape[1]):
+            # Skipping is exact.  The column's minimal generator g has degree
+            # L <= n, best_sh has degree <= n, and the sequence has length
+            # 2n + 10 >= L + deg best_sh.  A generator of a sequence that long
+            # is divisible by g (Massey 1969), so g divides best_sh, and the
+            # lcm below would return best unchanged.  A column whose g has
+            # zero constant term is skipped by both routes.
+            if _annihilates_sequence(best_sh, extra[:, c], nu):
+                stats["bm_skipped"] += 1
+                continue
+            stats["bm_runs"] += 1
             try:
                 mu_c = berlekamp_massey(extra[:, c], nu)
             except SingularRecurrenceError:
                 continue
-            best = gf.npoly_lcm(best, taylor_shift(mu_c, k, nu), nu)
+            lcm = gf.npoly_lcm(best, taylor_shift(mu_c, k, nu), nu)
+            if len(lcm) > len(best):  # a monic multiple of best of its degree is best
+                best, best_sh = lcm, taylor_shift(lcm, -k, nu)
         attempts += 1
         if len(best) - 1 == n:
             break  # cannot do better than full degree
@@ -463,17 +525,19 @@ def hecke_charpoly(m: SparseSignedMatrix, params: WiedemannParams, rng,
         rec.provenance["completion"] = "empty"
         return rec
     history = []
+    stats: dict = {}
     for round_idx in range(params.max_nus):
         nu = params.nu_list[(nu_start_index + round_idx) % len(params.nu_list)]
         budget = params.retry_budget0 + round_idx
         try:
-            mu, traces = wiedemann_minpoly(m, params, rng, nu, budget)
+            mu, traces = wiedemann_minpoly(m, params, rng, nu, budget, stats)
         except CharpolyFailure as e:
             history.append((nu, str(e)))
             continue
         rec = charpoly_complete(mu, m, nu, traces, rng)
         rec.provenance["nu_history"] = history + [(nu, "ok")]
         rec.provenance["budget"] = budget
+        rec.provenance.update(stats)
         if rec.chi is not None:
             return rec
         history.append((nu, f"completion stalled at degree {len(mu) - 1}/{m.n}"))

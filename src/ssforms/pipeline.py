@@ -57,6 +57,12 @@ class RunConfig:
                 raise ConfigError(f"level {p} is not a prime >= 5")
             if p > gf.MAX_MODULUS:
                 raise ConfigError(f"level {p} exceeds the word-size threshold")
+        if not self.nu_list:
+            raise ConfigError("need at least one auxiliary modulus")
+        for nu in self.nu_list:
+            if nu > gf.MAX_MODULUS or not gf.is_probable_prime(nu):
+                raise ConfigError(f"auxiliary modulus {nu} is not a prime <= "
+                                  f"{gf.MAX_MODULUS}")
         if self.n_coeffs is not None and self.n_coeffs < 2:
             raise ConfigError("need at least 2 coefficients")
         if not 1 <= self.g_max <= 6:
@@ -155,8 +161,10 @@ def _block_charpoly(store: GraphStore, name: str, cfg: RunConfig, rng,
     params = dataclasses.replace(cfg.wiedemann, nu_list=cfg.nu_list)
     t0 = time.monotonic()
     rec = linalg.hecke_charpoly(m, params, rng, nu_start_index=nu_start)
-    log.info("stage=charpoly p=%d block=%s n=%d nu=%d completion=%s dt=%.2fs",
+    log.info("stage=charpoly p=%d block=%s n=%d nu=%d completion=%s bm_runs=%s "
+             "bm_skipped=%s dt=%.2fs",
              store.p, name, m.n, rec.nu, rec.provenance.get("completion"),
+             rec.provenance.get("bm_runs"), rec.provenance.get("bm_skipped"),
              time.monotonic() - t0)
     return rec
 
@@ -338,7 +346,6 @@ def _run_sieve(store: GraphStore, name: str, orbits, cfg: RunConfig, rng):
     params = cfg.wiedemann
 
     def chi_provider(nu):
-        idx = cfg.nu_list.index(nu) if nu in cfg.nu_list else 0
         rec = linalg.hecke_charpoly(
             block,
             linalg.WiedemannParams(nu_list=(nu,), max_nus=1,

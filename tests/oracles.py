@@ -156,6 +156,86 @@ def hessenberg_charpoly_mod(A: np.ndarray, nu: int) -> np.ndarray:
     return polys[n]
 
 
+def berlekamp_massey_py(seq, nu: int) -> list[int]:
+    """Monic minimal recurrence of a sequence mod nu, lowest coefficient
+    first, by the textbook Berlekamp-Massey loop over Python lists.  A
+    recurrence with zero constant term is returned as it is (the package
+    raises SingularRecurrenceError for it)."""
+    s = [int(x) % nu for x in seq]
+    C = [1]
+    B = [1]
+    L, m, b = 0, 1, 1
+    for n_ in range(len(s)):
+        d = s[n_]
+        for i in range(1, L + 1):
+            d = (d + C[i] * s[n_ - i]) % nu
+        if d == 0:
+            m += 1
+            continue
+        if 2 * L <= n_:
+            T = list(C)
+            coef = d * pow(b, -1, nu) % nu
+            C = C + [0] * (len(B) + m - len(C))
+            for i, x in enumerate(B):
+                C[i + m] = (C[i + m] - coef * x) % nu
+            B = T
+            L = n_ + 1 - L
+            b = d
+            m = 1
+        else:
+            coef = d * pow(b, -1, nu) % nu
+            C = C + [0] * max(0, len(B) + m - len(C))
+            for i, x in enumerate(B):
+                C[i + m] = (C[i + m] - coef * x) % nu
+            m += 1
+    # connection poly C(x) = 1 + c_1 x + ... ; monic recurrence = reversal
+    mu = C[L::-1] if L + 1 <= len(C) else C[::-1]
+    return [0] * (L + 1 - len(mu)) + mu
+
+
+def wiedemann_all_columns(m, params, rng, nu: int, budget: int):
+    """The probing schedule of linalg.wiedemann_minpoly without its residual
+    skip: every probe runs berlekamp_massey_py on the main coordinate and on
+    every extra column and takes the lcm of all of them.  It draws from rng
+    exactly as the package does, so the same seed must give the same
+    (best, traces) or the same CharpolyFailure."""
+    from ssforms import gf, linalg
+
+    traces = []
+    best = None
+    k = params.shift0
+    singular = 0
+    attempts = 0
+    while attempts < budget:
+        u = linalg._random_start_vector(m.n, params.density, rng, nu)
+        i = int(rng.integers(0, m.n))
+        cols = rng.choice(m.n, size=min(m.n, params.extra_probe_columns), replace=False)
+        seq, window, extra = linalg.krylov_probe(m, nu, k, u, i, params.window_size, cols)
+        mu_sh = berlekamp_massey_py(seq, nu)
+        if mu_sh[0] == 0:
+            k += 1
+            singular += 1
+            if singular > params.max_singular_retries:
+                raise linalg.CharpolyFailure(f"shift increments exhausted at nu={nu}")
+            continue
+        mu = linalg.taylor_shift(np.array(mu_sh, dtype=np.int64), k, nu)
+        traces.append(linalg.KrylovTrace(i, k, seq, window, u))
+        best = mu if best is None else gf.npoly_lcm(best, mu, nu)
+        for c in range(extra.shape[1]):
+            mu_c = berlekamp_massey_py(extra[:, c], nu)
+            if mu_c[0] != 0:
+                mu_c = linalg.taylor_shift(np.array(mu_c, dtype=np.int64), k, nu)
+                best = gf.npoly_lcm(best, mu_c, nu)
+        attempts += 1
+        if len(best) - 1 == m.n:
+            break
+    if best is None:
+        raise linalg.CharpolyFailure(f"no probe ran at nu={nu}")
+    if not linalg.annihilates(best, m, nu, rng, params.verify_vectors):
+        raise linalg.CharpolyFailure(f"candidate is not the minimal polynomial at nu={nu}")
+    return best, traces
+
+
 def dense_charpoly_int(A: np.ndarray) -> list[int]:
     """Exact integer charpoly by CRT over 31-bit primes; the coefficient
     bound C(n, k) rho^k with rho the max absolute row sum is rigorous."""

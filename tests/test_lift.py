@@ -173,10 +173,36 @@ def test_lift_highdim_p23(rng):
 
 @pytest.mark.parametrize("m, bound", [(1, 3), (2, 1), (2, 3), (3, 2), (4, 3), (5, 2), (6, 3)])
 def test_shell_columns_match_product_order(m, bound):
-    sizes, shells = lift._shell_columns(m, bound)
+    sizes, shells = lift._shell_columns(m, bound, (2 * bound + 1) ** m)
     expected = oracles.shell_columns(m, bound)
     assert [[tuple(c.tolist()) for c in shell] for shell in shells] == expected
     assert sizes == [sum(x * x for x in shell[0]) for shell in expected]
+
+
+@pytest.mark.parametrize("m, bound", [(2, 3), (4, 3), (5, 2), (6, 3)])
+@pytest.mark.parametrize("cap", [1, 5, 50, 4000])
+def test_capped_shell_columns_stop_at_the_cap(m, bound, cap):
+    sizes, shells = lift._shell_columns(m, bound, cap)
+    expected = oracles.shell_columns(m, bound)
+    assert [[tuple(c.tolist()) for c in shell] for shell in shells] == expected[: len(shells)]
+    assert sizes == [sum(x * x for x in shell[0]) for shell in expected[: len(shells)]]
+    counts = np.cumsum([len(shell) for shell in shells])
+    if len(shells) < len(expected):
+        assert counts[-1] >= cap
+    assert len(counts) < 2 or counts[-2] < cap
+
+
+def test_capped_shell_columns_skip_the_full_grid():
+    # 7^10 = 282,475,249 columns in the grid; the cap needs four shells
+    sizes, shells = lift._shell_columns(10, 3, lift.LiftSearchConfig().highdim_attempt_cap)
+    assert sizes == [1, 2, 3, 4]
+    # C(10,k) 2^k columns of k entries +-1, plus the 20 with one entry +-2
+    assert [len(shell) for shell in shells] == [20, 180, 960, 3380]
+    assert sum(len(shell) for shell in shells) < 10**5
+    for size, shell in zip(sizes, shells):
+        assert ((shell * shell).sum(axis=1) == size).all()
+        rows = [tuple(r) for r in shell.tolist()]
+        assert rows == sorted(rows) and len(set(rows)) == len(rows)
 
 
 def test_factor_divides_mod_nu_but_not_over_z(rng):

@@ -87,6 +87,108 @@ def test_berlekamp_massey_roundtrip(data):
         assert sum(int(mu[i]) * seq[k + i] for i in range(d + 1)) % nu == 0
 
 
+def _matrix_sequences(rng, nu, count):
+    """Krylov sequences (M + k I)^j u at one coordinate and at extra columns
+    of random sparse matrices, k = 0 included so that singular ones occur."""
+    out = []
+    for _ in range(count):
+        M = linalg.SparseSignedMatrix.from_dense(random_sparse_matrix(rng, nmax=40))
+        u = rng.integers(0, nu, M.n)
+        i = int(rng.integers(0, M.n))
+        cols = rng.choice(M.n, size=min(M.n, 3), replace=False)
+        seq, _, extra = linalg.krylov_probe(M, nu, int(rng.integers(0, 3)), u, i, 4, cols)
+        out.append(seq)
+        out.extend(extra.T)
+    return out
+
+
+@pytest.mark.parametrize("nu", [5, 7, 13, 101, 999983, 2**30 - 35])
+def test_berlekamp_massey_matches_python_loop(rng, nu):
+    seqs = _matrix_sequences(rng, nu, 12)
+    for length in (0, 1, 2, 3, 10, 33, 80):
+        seqs.append(rng.integers(0, nu, length))
+        sparse = rng.integers(0, nu, length) * (rng.random(length) < 0.2)
+        seqs.append(sparse)
+        seqs.append(sparse.tolist())
+    seqs += [[1, 0, 0, 0, 0, 0], [0] * 9, [nu + 3, 2 * nu + 3, -nu + 3], [2**70 + k for k in range(9)]]
+    singular = regular = longest = 0
+    for seq in seqs:
+        want = oracles.berlekamp_massey_py(seq, nu)
+        if want[0] == 0:
+            singular += 1
+            with pytest.raises(linalg.SingularRecurrenceError):
+                linalg.berlekamp_massey(seq, nu)
+            continue
+        regular += 1
+        got = linalg.berlekamp_massey(seq, nu)
+        assert got.dtype == np.int64 and got.tolist() == want
+        longest = max(longest, len(want) - 1)
+    assert singular and regular
+    # recurrences longer than one int64-safe chunk (8 terms at 2^30 - 35)
+    assert longest > (2**63 - 1) // (nu - 1) ** 2 or nu < 2**20
+
+
+def test_dot_mod_chunks_stay_exact(rng):
+    for nu in (2, 7, 999983, 2**30 - 35, gf.MAX_MODULUS):
+        for n in (0, 1, 7, 8, 9, 50):
+            a = rng.integers(max(0, nu - 3), nu, (5, n))
+            x = rng.integers(max(0, nu - 3), nu, n)
+            want = [sum(int(r[t]) * int(x[t]) for t in range(n)) % nu for r in a]
+            assert linalg._dot_mod(a, x, nu).tolist() == want
+            assert int(linalg._dot_mod(a[0], x, nu)) == want[0]
+    with pytest.raises(gf.ModulusError):
+        linalg._dot_mod(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64),
+                        gf.MAX_MODULUS + 1)
+
+
+def _same_wiedemann(M, params, seed, nu, budget):
+    """Package and no-skip oracle at one seed: the same best, traces and
+    CharpolyFailure, and the same draws left in the generator."""
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    stats = {}
+    try:
+        got = linalg.wiedemann_minpoly(M, params, r1, nu, budget, stats)
+    except linalg.CharpolyFailure:
+        got = None
+    try:
+        want = oracles.wiedemann_all_columns(M, params, r2, nu, budget)
+    except linalg.CharpolyFailure:
+        want = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0].tolist() == want[0].tolist()
+        assert [t.seq.tolist() for t in got[1]] == [t.seq.tolist() for t in want[1]]
+    assert r1.integers(0, 2**62) == r2.integers(0, 2**62)
+    return stats
+
+
+def test_wiedemann_skip_matches_all_columns_on_random_matrices(rng):
+    params = linalg.WiedemannParams()
+    ran_extra = skipped = 0
+    for t in range(40):
+        M = linalg.SparseSignedMatrix.from_dense(random_sparse_matrix(rng, nmax=40))
+        nu = (7, 13, 101, 999983)[t % 4]
+        stats = _same_wiedemann(M, params, t, nu, 2)
+        skipped += stats["bm_skipped"]
+        # main-coordinate runs are one per probe; the rest ran on extra columns
+        ran_extra += stats["bm_runs"] > 2
+    assert skipped and ran_extra
+
+
+def test_wiedemann_skip_matches_all_columns_on_hecke_blocks():
+    from ssforms import pipeline
+
+    params = linalg.WiedemannParams()
+    skipped = 0
+    for p in pipeline._primes_between(5, 300):
+        store = pipeline.GraphStore(p, np.random.default_rng(p), None)
+        for name in ("minus", "plus"):
+            M = store.block(2, name)
+            if M.n:
+                skipped += _same_wiedemann(M, params, p, 999983, 2)["bm_skipped"]
+    assert skipped
+
+
 def test_taylor_shift():
     nu = 101
     f = np.array([3, 2, 1], dtype=np.int64)  # x^2 + 2x + 3

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -84,6 +85,22 @@ def test_config_validation():
     with pytest.raises(pipeline.ConfigError):
         pipeline.RunConfig(level=11, g_max=9).validate()
     pipeline.RunConfig(level=11).validate()
+
+
+def test_config_rejects_bad_auxiliary_moduli():
+    for nus in ((999983, 999981), (999983, 2**31 - 1), (1,), ()):
+        with pytest.raises(pipeline.ConfigError):
+            pipeline.RunConfig(level=11, nu_list=nus).validate()
+    pipeline.RunConfig(level=11, nu_list=(999983, 2**30 - 35)).validate()
+
+
+def test_charpoly_counters_logged_and_kept_out_of_levels(caplog):
+    with caplog.at_level(logging.INFO, logger="ssforms"):
+        rep = pipeline.run_level(389, pipeline.RunConfig(level=389))
+    lines = [r.getMessage() for r in caplog.records if "stage=charpoly" in r.getMessage()]
+    assert len(lines) == 2 and all("bm_runs=" in x and "bm_skipped=" in x for x in lines)
+    assert sum(int(x.split("bm_skipped=")[1].split()[0]) for x in lines) > 0
+    assert not any(k.startswith("bm_") for blk in rep.blocks.values() for k in blk)
 
 
 def test_cli_level(tmp_path):
