@@ -1,13 +1,10 @@
-"""Exact arithmetic in F_nu, F_p, F_{p^2}, and univariate polynomials over them.
+"""Exact arithmetic in F_nu, F_p, F_{p^2}, and univariate polynomials over F_m.
 
-Two polynomial layers live here:
-
-* a generic dense-list layer that works over any field context, used only
-  by the ell=2 graph walk (Phi_2(j, y) has degree 3 in y; T_ell for ell >= 3
-  is built by evaluating at known vertices, see `ssgraph.hecke_matrix`), and
-* a numpy-backed layer over a single-word prime field with quasi-linear
-  multiplication (NTT + 2-prime CRT above a crossover degree), used for the
-  long polynomials of the charpoly and sieve stages.
+One polynomial layer lives here: numpy int64 coefficient arrays over a
+single-word prime field, with quasi-linear multiplication (NTT + 2-prime CRT
+above a crossover degree), used for the long polynomials of the charpoly and
+sieve stages.  Over F_{p^2} the package only ever solves quadratics, in the
+ell=2 graph walk, and `poly_roots` does that with one square root.
 
 Field elements are plain ints (prime field) or (a, b) tuples (quadratic
 extension, meaning a + b*xi with xi^2 = nonresidue).
@@ -229,171 +226,36 @@ def field_sqrt(ctx, a, rng):
     return x
 
 
-# ---------------------------------------------------------------------------
-# Generic dense polynomials (small degree). Coefficients lowest-first.
-# ---------------------------------------------------------------------------
-
-
-def poly_trim(f, ctx):
+def poly_roots(f, ctx, rng):
+    """Roots in ctx's field, with multiplicity, of a polynomial f of degree at
+    most 2 given as a lowest-first list of field elements; empty when f has
+    none.  The quadratic case takes one `field_sqrt`.  Above degree 2 this
+    raises ValueError: the only polynomials the package factors over F_{p^2}
+    are the quadratics of the ell=2 walk, and everything longer lives in the
+    numpy layer over F_m below."""
+    f = list(f)
     while f and ctx.is_zero(f[-1]):
-        f = f[:-1]
-    return f
-
-
-def poly_deg(f) -> int:
-    return len(f) - 1
-
-
-def poly_sub(f, g, ctx):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else ctx.zero
-        b = g[i] if i < len(g) else ctx.zero
-        out.append(ctx.sub(a, b))
-    return poly_trim(out, ctx)
-
-
-def poly_scale(f, c, ctx):
-    return poly_trim([ctx.mul(a, c) for a in f], ctx)
-
-
-def poly_mul(f, g, ctx):
-    if not f or not g:
-        return []
-    out = [ctx.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if ctx.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-    return poly_trim(out, ctx)
-
-
-def poly_divrem(f, g, ctx):
-    """Euclidean division over a field: f = q*g + r with deg r < deg g."""
-    g = poly_trim(g, ctx)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = poly_trim(list(f), ctx)
-    lead_inv = ctx.inv(g[-1])
-    q = [ctx.zero] * max(0, len(f) - len(g) + 1)
-    r = f
-    while len(r) >= len(g):
-        c = ctx.mul(r[-1], lead_inv)
-        k = len(r) - len(g)
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] = ctx.sub(r[k + i], ctx.mul(c, g[i]))
-        r = poly_trim(r, ctx)
-    return poly_trim(q, ctx), r
-
-
-def poly_monic(f, ctx):
-    f = poly_trim(f, ctx)
-    if not f:
-        return f
-    return poly_scale(f, ctx.inv(f[-1]), ctx)
-
-
-def poly_gcd(f, g, ctx):
-    """Monic gcd."""
-    f = poly_trim(list(f), ctx)
-    g = poly_trim(list(g), ctx)
-    while g:
-        f, g = g, poly_divrem(f, g, ctx)[1]
-    return poly_monic(f, ctx)
-
-
-def poly_mulmod(f, g, m, ctx):
-    return poly_divrem(poly_mul(f, g, ctx), m, ctx)[1]
-
-
-def poly_powmod(f, e: int, m, ctx):
-    r = [ctx.one]
-    f = poly_divrem(f, m, ctx)[1]
-    while e:
-        if e & 1:
-            r = poly_mulmod(r, f, m, ctx)
-        f = poly_mulmod(f, f, m, ctx)
-        e >>= 1
-    return r
-
-
-def poly_roots(f, ctx, rng, attempt_cap: int = 64):
-    """All roots of f in ctx's field, with multiplicity.
-
-    gcd with x^q - x (computed by repeated squaring of Frobenius mod f)
-    isolates the part splitting into distinct linear factors; equal-degree
-    splitting then walks it down to linears.  Multiplicities are recovered by
-    exact division.  Returns a list; empty when f has no roots.
-    """
-    f = poly_monic(f, ctx)
+        f.pop()
     if not f:
         raise ZeroDivisionError("roots of the zero polynomial")
+    if len(f) > 3:
+        raise ValueError(f"poly_roots takes degree <= 2, got degree {len(f) - 1}")
+    lead_inv = ctx.inv(f[-1])
+    f = [ctx.mul(a, lead_inv) for a in f]
     if len(f) == 1:
         return []
     if len(f) == 2:
         return [ctx.neg(f[0])]
-    if len(f) == 3:
-        # direct quadratic formula keeps the graph walk off the Frobenius path
-        b, c = f[1], f[0]
-        disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.add(c, c), ctx.add(ctx.one, ctx.one)))
-        inv2 = ctx.inv(ctx.add(ctx.one, ctx.one))
-        if ctx.is_zero(disc):
-            r = ctx.mul(ctx.neg(b), inv2)
-            return [r, r]
-        s = field_sqrt(ctx, disc, rng)
-        if s is None:
-            return []
-        return [ctx.mul(ctx.sub(s, b), inv2), ctx.mul(ctx.sub(ctx.neg(b), s), inv2)]
-    q = ctx.order
-    xq = poly_powmod([ctx.zero, ctx.one], q, f, ctx)
-    lin = poly_gcd(poly_sub(xq, [ctx.zero, ctx.one], ctx), f, ctx)
-    distinct = _split_linear(lin, ctx, rng, attempt_cap)
-    roots = []
-    for r in distinct:
-        g = [ctx.neg(r), ctx.one]
-        rem = f
-        while True:
-            quo, rr = poly_divrem(rem, g, ctx)
-            if rr:
-                break
-            roots.append(r)
-            rem = quo
-    return roots
-
-
-def _split_linear(f, ctx, rng, attempt_cap):
-    """Cantor-Zassenhaus on a squarefree product of linear factors."""
-    f = poly_monic(f, ctx)
-    d = poly_deg(f)
-    if d <= 0:
+    b, c = f[1], f[0]
+    disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.add(c, c), ctx.add(ctx.one, ctx.one)))
+    inv2 = ctx.inv(ctx.add(ctx.one, ctx.one))
+    if ctx.is_zero(disc):
+        r = ctx.mul(ctx.neg(b), inv2)
+        return [r, r]
+    s = field_sqrt(ctx, disc, rng)
+    if s is None:
         return []
-    if d == 1:
-        return [ctx.neg(f[0])]
-    if d == 2:
-        # quadratic formula; the field has odd characteristic
-        b, a = f[1], f[0]
-        two_inv = ctx.inv(ctx.add(ctx.one, ctx.one))
-        disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.add(a, a), ctx.add(ctx.one, ctx.one)))
-        s = field_sqrt(ctx, disc, rng)
-        if s is None:
-            raise ArithmeticError("squarefree split part must split")
-        r1 = ctx.mul(ctx.sub(s, b), two_inv)
-        r2 = ctx.mul(ctx.sub(ctx.neg(b), s), two_inv)
-        return [r1, r2]
-    e = (ctx.order - 1) // 2
-    for _ in range(attempt_cap):
-        a = ctx.random(rng)
-        probe = poly_powmod([a, ctx.one], e, f, ctx)
-        g = poly_gcd(poly_sub(probe, [ctx.one], ctx), f, ctx)
-        if 0 < poly_deg(g) < d:
-            other = poly_divrem(f, g, ctx)[0]
-            return _split_linear(g, ctx, rng, attempt_cap) + _split_linear(
-                other, ctx, rng, attempt_cap
-            )
-    raise ArithmeticError(f"equal-degree splitting stalled after {attempt_cap} attempts")
+    return [ctx.mul(ctx.sub(s, b), inv2), ctx.mul(ctx.sub(ctx.neg(b), s), inv2)]
 
 
 # ---------------------------------------------------------------------------

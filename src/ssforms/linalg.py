@@ -280,17 +280,26 @@ def krylov_probe(m: SparseSignedMatrix, nu: int, shift: int, u: np.ndarray, i: i
 
 def annihilates(poly: np.ndarray, m: SparseSignedMatrix, nu: int, rng,
                 trials: int) -> bool:
-    """Exact check that poly(M) u = 0 for `trials` fresh random vectors."""
-    for _ in range(trials):
-        u = np.array(rng.integers(0, nu, m.n), dtype=np.int64)
-        acc = np.zeros(m.n, dtype=np.int64)
-        v = u
-        for c in poly:
-            acc = (acc + int(c) * v) % nu
+    """Exact check that poly(M) u = 0 for `trials` fresh random vectors.
+
+    The vectors are the columns of one n x trials block, so each power of M
+    costs one sparse product for all of them.  One draw of trials x n values
+    gives the same vectors as `trials` draws of n.  When a vector fails, the
+    generator is left where a vector-by-vector check would stop, after the
+    first failing vector, so the caller's later draws do not depend on how
+    the check is batched."""
+    state = rng.bit_generator.state
+    v = np.array(rng.integers(0, nu, (trials, m.n)), dtype=np.int64).T
+    acc = np.zeros_like(v)
+    for k, c in enumerate(poly):
+        acc = (acc + int(c) * v) % nu
+        if k + 1 < len(poly):
             v = m.matvec_mod(v, nu)
-        if acc.any():
-            return False
-    return True
+    failed = np.nonzero(acc.any(axis=0))[0]
+    if len(failed):
+        rng.bit_generator.state = state
+        rng.integers(0, nu, (int(failed[0]) + 1, m.n))
+    return not len(failed)
 
 
 def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: int,
@@ -410,52 +419,45 @@ def _pow_poly(g: np.ndarray, e: int, nu: int) -> np.ndarray:
     return out
 
 
-def rank_mod(a: np.ndarray, nu: int) -> int:
-    """Rank of the integer matrix a mod the prime nu."""
+def _row_reduce(a: np.ndarray, nu: int, ncols: int | None = None
+                ) -> tuple[np.ndarray, int]:
+    """Gauss-Jordan elimination mod the prime nu over the first ncols columns
+    of the integer matrix a (all of them by default): (the reduced copy of a,
+    the number of pivots).  Pivot rows are scaled to 1 and their columns
+    cleared in every other row; entries stay below nu, so each product of two
+    is below 2^60."""
     a = a % nu
-    rows, cols = a.shape
+    rows = a.shape[0]
     r = 0
-    for c in range(cols):
+    for c in range(a.shape[1] if ncols is None else ncols):
         if r == rows:
             break
-        piv = None
-        for i in range(r, rows):
-            if a[i, c] % nu:
-                piv = i
-                break
-        if piv is None:
+        nz = np.nonzero(a[r:, c])[0]
+        if not len(nz):
             continue
+        piv = r + int(nz[0])
         a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, nu)
-        a[r] = a[r] * inv % nu
-        mask = np.nonzero(a[r + 1 :, c])[0]
-        if len(mask):
-            a[r + 1 + mask] = (a[r + 1 + mask] - np.outer(a[r + 1 + mask, c], a[r])) % nu
+        a[r] = a[r] * pow(int(a[r, c]), -1, nu) % nu
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if len(others):
+            a[others] = (a[others] - np.outer(a[others, c], a[r])) % nu
         r += 1
-    return r
+    return a, r
+
+
+def rank_mod(a: np.ndarray, nu: int) -> int:
+    """Rank of the integer matrix a mod the prime nu."""
+    return _row_reduce(a, nu)[1]
 
 
 def inv_mod(a: np.ndarray, nu: int):
     """Inverse of the square integer matrix a mod the prime nu, or None when a
     is singular mod nu."""
     n = a.shape[0]
-    aug = np.concatenate([a % nu, np.eye(n, dtype=np.int64)], axis=1)
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i, c] % nu:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), -1, nu) % nu
-        for i in range(n):
-            if i != r and aug[i, c]:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % nu
-        r += 1
-    return aug[:, n:]
+    aug, rank = _row_reduce(np.concatenate([a % nu, np.eye(n, dtype=np.int64)], axis=1),
+                            nu, ncols=n)
+    return aug[:, n:] if rank == n else None
 
 
 def charpoly_complete(mu: np.ndarray, m: SparseSignedMatrix, nu: int,

@@ -117,7 +117,7 @@ class GraphStore:
             if path.exists():
                 return ssgraph.graph_from_text(path.read_text())
         t0 = time.monotonic()
-        sset, t = ssgraph.build_adjacency(self.p, 2, self.rng)
+        sset, t = ssgraph.build_adjacency(self.p, self.rng)
         log.info("stage=graph p=%d ell=2 vertices=%d dt=%.2fs",
                  self.p, len(sset), time.monotonic() - t0)
         if path is not None:
@@ -184,11 +184,13 @@ def _cuspidal_part(chi: np.ndarray, nu: int, name: str) -> np.ndarray:
 
 def _lift_block_orbits(store: GraphStore, name: str, cfg: RunConfig, rng):
     """Charpoly, factor detection, and lifting for one AL block, with the
-    change-the-modulus retry loop."""
+    change-the-modulus retry loop: (orbits, provenance, the block's charpolys
+    by modulus)."""
     block = store.block(2, name)
     if block.n == 0:
-        return [], {"dim": 0, "nu": None, "orbits": 0}
+        return [], {"dim": 0, "nu": None, "orbits": 0}, {}
     rec = _block_charpoly(store, name, cfg, rng)
+    chis = {rec.nu: rec.chi}
     cusp = _cuspidal_part(rec.chi, rec.nu, name)
     detected = lift.detect_factors(cusp, rec.nu, cfg.g_max)
     orbits = []
@@ -196,9 +198,10 @@ def _lift_block_orbits(store: GraphStore, name: str, cfg: RunConfig, rng):
             "completion": rec.provenance.get("completion"), "dropped": []}
     for rho, mult in detected:
         got, rec = _lift_one_factor(store, name, block, rho, mult, rec, cfg, rng, prov)
+        chis[rec.nu] = rec.chi
         orbits.extend(got)
     prov["orbits"] = len(orbits)
-    return orbits, prov
+    return orbits, prov, chis
 
 
 def _lift_one_factor(store, name, block, rho, mult, rec, cfg, rng, prov):
@@ -313,10 +316,10 @@ def run_level(p: int, cfg: RunConfig) -> LevelReport:
         blocks = {}
         records = []
         for name in ("minus", "plus"):
-            orbits, prov = _lift_block_orbits(store, name, cfg, rng)
+            orbits, prov, chis = _lift_block_orbits(store, name, cfg, rng)
             records.extend(_qexpansions(store, orbits, cfg, rng))
             if cfg.run_sieve:
-                prov["sieve"] = _run_sieve(store, name, orbits, cfg, rng)
+                prov["sieve"] = _run_sieve(store, name, orbits, chis, cfg, rng)
             else:
                 prov["sieve"] = "skipped"
             blocks[name] = prov
@@ -330,7 +333,10 @@ def run_level(p: int, cfg: RunConfig) -> LevelReport:
         return LevelReport(p, "failed", {}, [], error=f"{type(e).__name__}: {e}")
 
 
-def _run_sieve(store: GraphStore, name: str, orbits, cfg: RunConfig, rng):
+def _run_sieve(store: GraphStore, name: str, orbits, chis: dict, cfg: RunConfig, rng):
+    """Degree sieve for one AL block.  chis holds the charpolys the lifting
+    stage computed, by modulus; the charpoly mod nu is unique, so those are
+    reused and Wiedemann runs only at the other moduli."""
     block = store.block(2, name)
     if block.n == 0:
         return {"eliminated": [], "undetermined": [], "certified_remainder": None}
@@ -346,6 +352,8 @@ def _run_sieve(store: GraphStore, name: str, orbits, cfg: RunConfig, rng):
     params = cfg.wiedemann
 
     def chi_provider(nu):
+        if nu in chis:
+            return chis[nu]
         rec = linalg.hecke_charpoly(
             block,
             linalg.WiedemannParams(nu_list=(nu,), max_nus=1,

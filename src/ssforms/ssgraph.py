@@ -1,14 +1,16 @@
 """Supersingular ell-isogeny graphs over F_{p^2} and their Atkin-Lehner split.
 
-The vertex set comes from one breadth-first walk of the 2-isogeny graph from
-a CM starting vertex, finding the roots of the classical modular polynomial
-Phi_2(j, y) at each step and reusing the known backward root to drop one
-degree.  Every root of Phi_ell(j_i, y) is again supersingular, so T_ell for
-ell >= 3 needs no root-finding: `hecke_matrix` evaluates Phi_ell(j_i, y) at
-all known vertices at once and reads the neighbours off the zeros.  Both
-builds return T_ell as a `SparseSignedMatrix` made from (row, col,
-multiplicity) triples, at most ell+1 per row; no n x n array is built, and
-`split_atkin_lehner` forms the Atkin-Lehner blocks from the same triples.
+The vertex set and T_2 come from one breadth-first walk of the 2-isogeny
+graph from a CM starting vertex.  Each step divides the known backward root
+out of the cubic Phi_2(j, y), leaving a quadratic that one square root in
+F_{p^2} solves; the start's known root is the F_p-rational root of
+Phi_2(j0, y) that every supersingular j0 in F_p has.  Every root of
+Phi_ell(j_i, y) is again supersingular, so T_ell for ell >= 3 needs no
+root-finding: `hecke_matrix` evaluates Phi_ell(j_i, y) at all known vertices
+at once and reads the neighbours off the zeros.  Both builds return T_ell
+as a `SparseSignedMatrix` made from (row, col, multiplicity) triples, at most
+ell+1 per row; no n x n array is built, and `split_atkin_lehner` forms the
+Atkin-Lehner blocks from the same triples.
 """
 
 from __future__ import annotations
@@ -154,50 +156,43 @@ class SupersingularSet:
         return len(self.vertices)
 
 
-class _PhiEvaluator:
-    """Phi_ell(j, y) as a polynomial in y over F_{p^2}, for varying j."""
-
-    def __init__(self, ell: int, ctx: gf.QuadExtCtx):
-        grid = bundled_modular_polynomials()[ell]
-        self.ell = ell
-        self.ctx = ctx
-        p = ctx.p
-        deg = ell + 1
-        # rows[k][i] = coefficient of y^k x^i, reduced mod p
-        self.rows = [
-            [grid.get((i, k), 0) % p for i in range(deg + 1)] for k in range(deg + 1)
-        ]
-
-    def at(self, j) -> list:
-        ctx = self.ctx
-        deg = self.ell + 1
-        powers = [ctx.one]
-        for _ in range(deg):
-            powers.append(ctx.mul(powers[-1], j))
-        out = []
-        for k in range(deg + 1):
-            acc = ctx.zero
-            row = self.rows[k]
-            for i, c in enumerate(row):
-                if c:
-                    acc = ctx.add(acc, ctx.mul(ctx.embed(c), powers[i]))
-            out.append(acc)
-        return gf.poly_trim(out, ctx)
-
-
-def build_adjacency(p: int, ell: int, rng, start_j: int | None = None
+def build_adjacency(p: int, rng, start_j: int | None = None
                     ) -> tuple[SupersingularSet, SparseSignedMatrix]:
-    """Explore the supersingular ell-isogeny graph and return its sparse
-    T_ell: entry (i, k) is the multiplicity of vertex k among the roots of
-    Phi_ell(j_i, y).  Vertices are ordered by discovery, with the Galois
-    conjugate of each new vertex inserted immediately after it."""
-    if ell == p:
-        raise ValueError("ell must differ from p")
+    """Walk the supersingular 2-isogeny graph and return its sparse T_2:
+    entry (i, k) is the multiplicity of vertex k among the roots of
+    Phi_2(j_i, y).  Vertices are ordered by discovery, with the Galois
+    conjugate of each new vertex inserted immediately after it.
+
+    Each vertex is visited with one root of Phi_2(j_i, y) already known: the
+    vertex it was found from, since Phi_2 is symmetric.  Dividing y - back
+    out of the monic cubic leaves a quadratic, which `gf.poly_roots` solves
+    with one square root."""
     count = supersingular_count(p)
     ctx = gf.QuadExtCtx(gf.PrimeFieldCtx(p))
-    phi = _PhiEvaluator(ell, ctx)
+    grid = bundled_modular_polynomials()[2]
+    # coef[k][i] = coefficient of y^k x^i mod p for k < 3; the y^3
+    # coefficient of Phi_2 is 1
+    coef = [[grid.get((i, k), 0) % p for i in range(4)] for k in range(3)]
+
+    def low_coefficients(j):
+        """(c0, c1, c2) with Phi_2(j, y) = y^3 + c2 y^2 + c1 y + c0."""
+        powers = [ctx.one, j]
+        for _ in range(2):
+            powers.append(ctx.mul(powers[-1], j))
+        return [(sum(c * x[0] for c, x in zip(row, powers)) % p,
+                 sum(c * x[1] for c, x in zip(row, powers)) % p) for row in coef]
 
     j0 = ctx.embed(find_starting_j(p) if start_j is None else start_j)
+    # Phi_2(j0, y) lies in F_p[y], and its roots are supersingular, so they
+    # lie in F_{p^2}.  An irreducible cubic over F_p has its roots in F_{p^3},
+    # not in F_{p^2}, so the cubic of a supersingular j0 has a root r0 in
+    # F_p.  With r0 as its known root, the start is visited like any vertex.
+    cubic = np.array([c[0] for c in low_coefficients(j0)] + [1], dtype=np.int64)
+    rational = gf.npoly_linear_roots(cubic, p, rng)
+    if not rational:
+        raise GraphError(f"Phi_2({j0[0]}, y) has no root in F_{p}: "
+                         "the start is not supersingular")
+
     vertices: list[tuple[int, int]] = []
     index: dict[tuple[int, int], int] = {}
     conj: list[int] = []
@@ -219,23 +214,23 @@ def build_adjacency(p: int, ell: int, rng, start_j: int | None = None
     add_vertex(j0)
     rows: list[int] = []  # one (row, col) pair per root; repeats add up
     cols: list[int] = []
-    queue = [(0, None)]  # (vertex index, known backward root or None)
+    queue = [(0, ctx.embed(rational[0]))]  # (vertex index, known root)
     head = 0
     while head < len(queue):
         vi, back = queue[head]
         head += 1
         j = vertices[vi]
-        f = phi.at(j)
-        if back is not None:
-            f, rem = gf.poly_divrem(f, [ctx.neg(back), ctx.one], ctx)
-            if rem:
-                raise GraphError("backward root is not a root; arithmetic bug")
-        roots = gf.poly_roots(f, ctx, rng)
-        if back is not None:
-            roots.append(back)
-        if len(roots) != ell + 1:
+        c0, c1, c2 = low_coefficients(j)
+        # synthetic division: Phi_2(j, y) = (y - back)(y^2 + q1 y + q0) + rem
+        q1 = ctx.add(c2, back)
+        q0 = ctx.add(c1, ctx.mul(back, q1))
+        if not ctx.is_zero(ctx.add(c0, ctx.mul(back, q0))):
+            raise GraphError("backward root is not a root; arithmetic bug")
+        roots = gf.poly_roots([q0, q1, ctx.one], ctx, rng)
+        roots.append(back)
+        if len(roots) != 3:
             raise GraphError(
-                f"vertex {j} has {len(roots)} of {ell + 1} isogenies in F_p^2; "
+                f"vertex {j} has {len(roots)} of 3 isogenies in F_p^2; "
                 "non-supersingular start or arithmetic bug"
             )
         for r in roots:
@@ -252,8 +247,8 @@ def build_adjacency(p: int, ell: int, rng, start_j: int | None = None
             cols.append(k)
     if len(vertices) != count:
         raise GraphError(
-            f"BFS found {len(vertices)} vertices, expected {count} "
-            f"(p={p}, ell={ell}); non-supersingular start or arithmetic bug"
+            f"walk found {len(vertices)} vertices, expected {count} "
+            f"(p={p}); non-supersingular start or arithmetic bug"
         )
     sset = SupersingularSet(p, ctx, vertices, np.array(conj, dtype=np.int64))
     return sset, SparseSignedMatrix.from_triples(count, rows, cols, np.ones(len(rows)))

@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 from sympy import nextprime
 
+from ssforms import gf, ssgraph
+
 # (a1, a2, a3, a4, a6) minimal models of the elliptic curves of prime
 # conductor for the golden levels; discriminants are verified to be
 # +-p^k by the tests that use them.
@@ -544,3 +546,249 @@ def _divide_monic_mod(f: list[int], g: list[int], nu: int) -> tuple[list[int], b
         for i, gi in enumerate(g):
             f[k + i] = (f[k + i] - c * gi) % nu
     return q, not any(f[: len(g) - 1])
+
+
+# ---------------------------------------------------------------------------
+# Generic tuple polynomials over any field context, and the ell-general
+# isogeny-graph BFS built on them
+# ---------------------------------------------------------------------------
+
+
+def poly_trim(f, ctx):
+    while f and ctx.is_zero(f[-1]):
+        f = f[:-1]
+    return f
+
+
+def poly_sub(f, g, ctx):
+    n = max(len(f), len(g))
+    out = []
+    for i in range(n):
+        a = f[i] if i < len(f) else ctx.zero
+        b = g[i] if i < len(g) else ctx.zero
+        out.append(ctx.sub(a, b))
+    return poly_trim(out, ctx)
+
+
+def poly_scale(f, c, ctx):
+    return poly_trim([ctx.mul(a, c) for a in f], ctx)
+
+
+def poly_mul(f, g, ctx):
+    if not f or not g:
+        return []
+    out = [ctx.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if ctx.is_zero(a):
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    return poly_trim(out, ctx)
+
+
+def poly_divrem(f, g, ctx):
+    """Euclidean division over a field: f = q*g + r with deg r < deg g."""
+    g = poly_trim(g, ctx)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = poly_trim(list(f), ctx)
+    lead_inv = ctx.inv(g[-1])
+    q = [ctx.zero] * max(0, len(f) - len(g) + 1)
+    r = f
+    while len(r) >= len(g):
+        c = ctx.mul(r[-1], lead_inv)
+        k = len(r) - len(g)
+        q[k] = c
+        for i in range(len(g)):
+            r[k + i] = ctx.sub(r[k + i], ctx.mul(c, g[i]))
+        r = poly_trim(r, ctx)
+    return poly_trim(q, ctx), r
+
+
+def poly_monic(f, ctx):
+    f = poly_trim(f, ctx)
+    if not f:
+        return f
+    return poly_scale(f, ctx.inv(f[-1]), ctx)
+
+
+def poly_gcd(f, g, ctx):
+    """Monic gcd."""
+    f = poly_trim(list(f), ctx)
+    g = poly_trim(list(g), ctx)
+    while g:
+        f, g = g, poly_divrem(f, g, ctx)[1]
+    return poly_monic(f, ctx)
+
+
+def poly_mulmod(f, g, m, ctx):
+    return poly_divrem(poly_mul(f, g, ctx), m, ctx)[1]
+
+
+def poly_powmod(f, e: int, m, ctx):
+    r = [ctx.one]
+    f = poly_divrem(f, m, ctx)[1]
+    while e:
+        if e & 1:
+            r = poly_mulmod(r, f, m, ctx)
+        f = poly_mulmod(f, f, m, ctx)
+        e >>= 1
+    return r
+
+
+def poly_roots(f, ctx, rng, attempt_cap: int = 64):
+    """All roots of f in ctx's field, with multiplicity, for any degree.
+
+    gcd with x^q - x (computed by repeated squaring of Frobenius mod f)
+    isolates the part splitting into distinct linear factors; equal-degree
+    splitting then walks it down to linears.  Multiplicities are recovered by
+    exact division.  Returns a list; empty when f has no roots.
+    """
+    f = poly_monic(f, ctx)
+    if not f:
+        raise ZeroDivisionError("roots of the zero polynomial")
+    if len(f) == 1:
+        return []
+    if len(f) == 2:
+        return [ctx.neg(f[0])]
+    if len(f) == 3:
+        b, c = f[1], f[0]
+        disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.add(c, c), ctx.add(ctx.one, ctx.one)))
+        inv2 = ctx.inv(ctx.add(ctx.one, ctx.one))
+        if ctx.is_zero(disc):
+            r = ctx.mul(ctx.neg(b), inv2)
+            return [r, r]
+        s = gf.field_sqrt(ctx, disc, rng)
+        if s is None:
+            return []
+        return [ctx.mul(ctx.sub(s, b), inv2), ctx.mul(ctx.sub(ctx.neg(b), s), inv2)]
+    xq = poly_powmod([ctx.zero, ctx.one], ctx.order, f, ctx)
+    lin = poly_gcd(poly_sub(xq, [ctx.zero, ctx.one], ctx), f, ctx)
+    roots = []
+    for r in _split_linear(lin, ctx, rng, attempt_cap):
+        g = [ctx.neg(r), ctx.one]
+        rem = f
+        while True:
+            quo, rr = poly_divrem(rem, g, ctx)
+            if rr:
+                break
+            roots.append(r)
+            rem = quo
+    return roots
+
+
+def _split_linear(f, ctx, rng, attempt_cap):
+    """Cantor-Zassenhaus on a squarefree product of linear factors."""
+    f = poly_monic(f, ctx)
+    d = len(f) - 1
+    if d <= 0:
+        return []
+    if d == 1:
+        return [ctx.neg(f[0])]
+    if d == 2:
+        # quadratic formula; the field has odd characteristic
+        b, a = f[1], f[0]
+        two_inv = ctx.inv(ctx.add(ctx.one, ctx.one))
+        disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.add(a, a), ctx.add(ctx.one, ctx.one)))
+        s = gf.field_sqrt(ctx, disc, rng)
+        if s is None:
+            raise ArithmeticError("squarefree split part must split")
+        return [ctx.mul(ctx.sub(s, b), two_inv), ctx.mul(ctx.sub(ctx.neg(b), s), two_inv)]
+    e = (ctx.order - 1) // 2
+    for _ in range(attempt_cap):
+        a = ctx.random(rng)
+        probe = poly_powmod([a, ctx.one], e, f, ctx)
+        g = poly_gcd(poly_sub(probe, [ctx.one], ctx), f, ctx)
+        if 0 < len(g) - 1 < d:
+            other = poly_divrem(f, g, ctx)[0]
+            return (_split_linear(g, ctx, rng, attempt_cap)
+                    + _split_linear(other, ctx, rng, attempt_cap))
+    raise ArithmeticError(f"equal-degree splitting stalled after {attempt_cap} attempts")
+
+
+def bfs_adjacency(p: int, ell: int, rng, start_j: int | None = None):
+    """(SupersingularSet, dense T_ell) by breadth-first search of the
+    ell-isogeny graph, finding every root of Phi_ell(j, y) with the generic
+    tuple layer above; the known backward root is divided out first.
+    Vertices are ordered by discovery, each followed by its conjugate."""
+    if ell == p:
+        raise ValueError("ell must differ from p")
+    count = ssgraph.supersingular_count(p)
+    ctx = gf.QuadExtCtx(gf.PrimeFieldCtx(p))
+    grid = ssgraph.bundled_modular_polynomials()[ell]
+    deg = ell + 1
+    # rows[k][i] = coefficient of y^k x^i, reduced mod p
+    rows = [[grid.get((i, k), 0) % p for i in range(deg + 1)] for k in range(deg + 1)]
+
+    def phi_at(j):
+        powers = [ctx.one]
+        for _ in range(deg):
+            powers.append(ctx.mul(powers[-1], j))
+        out = []
+        for row in rows:
+            acc = ctx.zero
+            for c, x in zip(row, powers):
+                if c:
+                    acc = ctx.add(acc, ctx.mul(ctx.embed(c), x))
+            out.append(acc)
+        return poly_trim(out, ctx)
+
+    j0 = ctx.embed(ssgraph.find_starting_j(p) if start_j is None else start_j)
+    vertices, index, conj = [], {}, []
+
+    def add_vertex(j) -> int:
+        i = len(vertices)
+        vertices.append(j)
+        index[j] = i
+        js = ctx.conj(j)
+        if js == j:
+            conj.append(i)
+        else:
+            vertices.append(js)
+            index[js] = i + 1
+            conj.extend([i + 1, i])
+        return i
+
+    add_vertex(j0)
+    edges = []
+    queue = [(0, None)]  # (vertex index, known backward root or None)
+    head = 0
+    while head < len(queue):
+        vi, back = queue[head]
+        head += 1
+        j = vertices[vi]
+        f = phi_at(j)
+        if back is not None:
+            f, rem = poly_divrem(f, [ctx.neg(back), ctx.one], ctx)
+            if rem:
+                raise ssgraph.GraphError("backward root is not a root")
+        roots = poly_roots(f, ctx, rng)
+        if back is not None:
+            roots.append(back)
+        if len(roots) != ell + 1:
+            raise ssgraph.GraphError(f"vertex {j} has {len(roots)} of {ell + 1} isogenies")
+        for r in roots:
+            k = index.get(r)
+            if k is None:
+                if len(vertices) >= count:
+                    raise ssgraph.GraphError("graph exceeded the supersingular count")
+                k = add_vertex(r)
+                queue.append((k, j))
+                if conj[k] != k:
+                    queue.append((conj[k], ctx.conj(j)))
+            edges.append((vi, k))
+    if len(vertices) != count:
+        raise ssgraph.GraphError(f"BFS found {len(vertices)} of {count} vertices")
+    B = np.zeros((count, count), dtype=np.int64)
+    for i, k in edges:
+        B[i, k] += 1
+    sset = ssgraph.SupersingularSet(p, ctx, vertices, np.array(conj, dtype=np.int64))
+    return sset, B
+
+
+def permuted_to(B: np.ndarray, sset_from, sset_to) -> np.ndarray:
+    """The dense matrix B, indexed by the vertices of sset_from, re-indexed
+    to the vertex order of sset_to (the same vertex set)."""
+    pos = {v: i for i, v in enumerate(sset_from.vertices)}
+    perm = np.array([pos[v] for v in sset_to.vertices], dtype=np.int64)
+    return B[np.ix_(perm, perm)]

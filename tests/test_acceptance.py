@@ -123,7 +123,7 @@ def test_acceptance_3_oracle_equivalence(oracle_range_reports, candidate_lists, 
     for rep in oracle_range_reports:
         p = rep.level
         assert rep.status == "ok", (p, rep.error)
-        sset, T = ssgraph.build_adjacency(p, 2, rng)
+        sset, T = ssgraph.build_adjacency(p, rng)
         al = ssgraph.split_atkin_lehner(T, sset)
         for name, blk in (("minus", al.minus), ("plus", al.plus)):
             chi = oracles.dense_charpoly_int(blk.to_dense())
@@ -154,17 +154,15 @@ def test_acceptance_4_graph_invariants(rng):
     nus = linalg.NU_DEFAULTS[:3]
     primes = [p for p in range(5, 2001) if oracles_is_prime(p)]
     for p in primes:
+        sset, T2 = ssgraph.build_adjacency(p, rng)
         for ell in (2, 3):
-            sset, T = ssgraph.build_adjacency(p, ell, rng)
+            T = T2 if ell == 2 else ssgraph.hecke_matrix(sset, 3)
             B = T.to_dense()
-            if ell == 2:
-                sset2 = sset
-            else:
-                # T_3 by vertex matching equals the BFS's, in the ell=2 order
-                pos = {v: i for i, v in enumerate(sset.vertices)}
-                perm = np.array([pos[v] for v in sset2.vertices], dtype=np.int64)
-                T3 = ssgraph.hecke_matrix(sset2, 3).to_dense()
-                assert (T3 == B[np.ix_(perm, perm)]).all(), p
+            if ell == 3:
+                # T_3 by vertex matching equals the oracle BFS's, in the
+                # ell=2 order
+                s_bfs, B_bfs = oracles.bfs_adjacency(p, 3, rng)
+                assert (B == oracles.permuted_to(B_bfs, s_bfs, sset)).all(), p
             n = len(sset)
             eps = {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
             assert n == p // 12 + eps
@@ -335,7 +333,7 @@ def test_acceptance_7_qexpansion_self_consistency(golden_reports,
         p = rep.level
         if not rep.records:
             continue
-        sset, T = ssgraph.build_adjacency(p, 2, rng)
+        sset, T = ssgraph.build_adjacency(p, rng)
         al = ssgraph.split_atkin_lehner(T, sset)
         recp = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
         chi, _ = gf.npoly_divrem(recp.chi, np.array([(-3) % recp.nu, 1]), recp.nu)
@@ -348,12 +346,7 @@ def test_acceptance_7_qexpansion_self_consistency(golden_reports,
                        if int(r["coeffs"][1][0]) == -rho[0]
                        and r["provenance"]["block"] == "minus")
             for ell in (2, 3, 5):
-                s2, T2 = ssgraph.build_adjacency(p, ell, rng) if ell != 2 else (sset, T)
-                if ell != 2:
-                    pos = {v2: i for i, v2 in enumerate(s2.vertices)}
-                    perm = np.array([pos[v2] for v2 in sset.vertices])
-                    T2 = linalg.SparseSignedMatrix.from_dense(
-                        T2.to_dense()[np.ix_(perm, perm)])
+                T2 = T if ell == 2 else ssgraph.hecke_matrix(sset, ell)
                 al2 = ssgraph.split_atkin_lehner(T2, sset)
                 aval = mestre.eigenvalue_of(evec, al2.minus, fld)
                 assert aval == fld.elt([int(rec["coeffs"][ell - 1][0])])

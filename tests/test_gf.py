@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ssforms import gf
 
 
@@ -61,16 +62,20 @@ def test_field_sqrt(rng):
                 assert K.pow(a, (K.order - 1) // 2) != K.one
 
 
+# The generic tuple layer (any degree, any field context) is a test oracle
+# now; the tests below check the oracle, and `gf.poly_roots` on quadratics.
+
+
 def test_poly_divrem_gcd_eval_examples():
     F7 = gf.PrimeFieldCtx(7)
-    assert gf.poly_gcd([6, 0, 1], [6, 1], F7) == [6, 1]  # gcd(x^2-1, x-1) = x-1
-    q, r = gf.poly_divrem([0, 0, 0, 1], [6, 1], F7)
+    assert oracles.poly_gcd([6, 0, 1], [6, 1], F7) == [6, 1]  # gcd(x^2-1, x-1) = x-1
+    q, r = oracles.poly_divrem([0, 0, 0, 1], [6, 1], F7)
     assert q == [1, 1, 1] and r == [1]  # x^3 = (x-1)(x^2+x+1) + 1
     F11 = gf.PrimeFieldCtx(11)
     # y^3-3y^2+3y-1 vanishes at 1: its remainder mod y - 1 is zero
-    assert gf.poly_divrem([10, 3, 8, 1], [10, 1], F11)[1] == []
+    assert oracles.poly_divrem([10, 3, 8, 1], [10, 1], F11)[1] == []
     with pytest.raises(ZeroDivisionError):
-        gf.poly_divrem([1, 1], [], F7)
+        oracles.poly_divrem([1, 1], [], F7)
 
 
 def test_poly_roots_examples(rng):
@@ -78,16 +83,33 @@ def test_poly_roots_examples(rng):
     # x^2 - n has roots +-xi
     f = [K.neg(K.embed(K.n)), K.zero, K.one]
     assert sorted(gf.poly_roots(f, K, rng)) == sorted([(0, 1), (0, 10)])
-    # Phi_2(0, y) mod 11 = (y-1)^3
+    # a linear and a constant polynomial, a leading zero, a non-monic quadratic
+    assert gf.poly_roots([K.embed(3), K.embed(2)], K, rng) == [(4, 0)]  # 2y + 3
+    assert gf.poly_roots([K.embed(5)], K, rng) == []
+    y2_minus_1 = [K.embed(-1), K.zero, K.one, K.zero]
+    assert sorted(gf.poly_roots(y2_minus_1, K, rng)) == [(1, 0), (10, 0)]
+    assert sorted(gf.poly_roots([K.embed(-2), K.zero, K.embed(2)], K, rng)) == [(1, 0), (10, 0)]
+    # (y - 1)^2 has the double root 1; no square root is taken
+    assert gf.poly_roots([K.one, K.embed(-2), K.one], K, rng) == [(1, 0)] * 2
+    # Phi_2(0, y) mod 11 = (y-1)^3, a cubic, for the oracle's Frobenius path
     f2 = [K.embed(-1), K.embed(3), K.embed(-3), K.one]
-    assert gf.poly_roots(f2, K, rng) == [(1, 0)] * 3
+    assert oracles.poly_roots(f2, K, rng) == [(1, 0)] * 3
     # (x - c)(x - d) for random distinct c, d
     for _ in range(10):
         c, d = K.random(rng), K.random(rng)
         if c == d:
             continue
-        f3 = gf.poly_mul([K.neg(c), K.one], [K.neg(d), K.one], K)
+        f3 = oracles.poly_mul([K.neg(c), K.one], [K.neg(d), K.one], K)
         assert sorted(gf.poly_roots(f3, K, rng)) == sorted([c, d])
+        assert sorted(oracles.poly_roots(f3, K, rng)) == sorted([c, d])
+
+
+def test_poly_roots_rejects_degree_above_2(rng):
+    K = gf.QuadExtCtx(gf.PrimeFieldCtx(11))
+    with pytest.raises(ValueError, match="degree <= 2"):
+        gf.poly_roots([K.embed(-1), K.embed(3), K.embed(-3), K.one], K, rng)
+    with pytest.raises(ZeroDivisionError):
+        gf.poly_roots([K.zero, K.zero], K, rng)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.data())
@@ -96,19 +118,19 @@ def test_poly_gcd_properties(da, db, data):
     F = gf.PrimeFieldCtx(101)
     fa = [data.draw(st.integers(0, 100)) for _ in range(da + 1)]
     fb = [data.draw(st.integers(0, 100)) for _ in range(db + 1)]
-    fa, fb = gf.poly_trim(fa, F), gf.poly_trim(fb, F)
+    fa, fb = oracles.poly_trim(fa, F), oracles.poly_trim(fb, F)
     if not fa or not fb:
         return
-    g = gf.poly_gcd(fa, fb, F)
+    g = oracles.poly_gcd(fa, fb, F)
     # g divides both
-    assert not gf.poly_divrem(fa, g, F)[1]
-    assert not gf.poly_divrem(fb, g, F)[1]
+    assert not oracles.poly_divrem(fa, g, F)[1]
+    assert not oracles.poly_divrem(fb, g, F)[1]
     # any common divisor divides g: check via gcd(f, g) for small trial divisors
     for deg in (1, 2):
         for _ in range(3):
-            h = gf.poly_trim([data.draw(st.integers(0, 100)) for _ in range(deg)] + [1], F)
-            if not gf.poly_divrem(fa, h, F)[1] and not gf.poly_divrem(fb, h, F)[1]:
-                assert not gf.poly_divrem(g, h, F)[1]
+            h = oracles.poly_trim([data.draw(st.integers(0, 100)) for _ in range(deg)] + [1], F)
+            if not oracles.poly_divrem(fa, h, F)[1] and not oracles.poly_divrem(fb, h, F)[1]:
+                assert not oracles.poly_divrem(g, h, F)[1]
 
 
 def test_galois_closure_of_roots(rng):
@@ -117,7 +139,7 @@ def test_galois_closure_of_roots(rng):
     K = gf.QuadExtCtx(gf.PrimeFieldCtx(23))
     for _ in range(10):
         coeffs = [K.embed(int(rng.integers(0, 23))) for _ in range(4)] + [K.one]
-        roots = gf.poly_roots(coeffs, K, rng)
+        roots = oracles.poly_roots(coeffs, K, rng)
         from collections import Counter
 
         c = Counter(roots)
@@ -126,18 +148,19 @@ def test_galois_closure_of_roots(rng):
 
 
 def test_roots_count_and_eval(rng):
-    # poly_roots returns deg f roots when f splits; y - r divides f for each
+    # the oracle's poly_roots returns deg f roots when f splits; y - r
+    # divides f for each
     K = gf.QuadExtCtx(gf.PrimeFieldCtx(31))
     f = [K.one]
     roots_in = []
     for _ in range(5):
         r = K.random(rng)
         roots_in.append(r)
-        f = gf.poly_mul(f, [K.neg(r), K.one], K)
-    roots = gf.poly_roots(f, K, rng)
+        f = oracles.poly_mul(f, [K.neg(r), K.one], K)
+    roots = oracles.poly_roots(f, K, rng)
     assert sorted(roots) == sorted(roots_in)
     for r in roots:
-        assert gf.poly_divrem(f, [K.neg(r), K.one], K)[1] == []
+        assert oracles.poly_divrem(f, [K.neg(r), K.one], K)[1] == []
 
 
 # ---------------------------------------------------------------------------

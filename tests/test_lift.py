@@ -72,7 +72,7 @@ def test_detect_factors_matches_table_on_levels_5_to_500(candidate_lists):
     nu = linalg.NU_DEFAULTS[0]
     found = 0
     for p in sympy.primerange(5, 501):
-        sset, T = ssgraph.build_adjacency(p, 2, rng)
+        sset, T = ssgraph.build_adjacency(p, rng)
         al = ssgraph.split_atkin_lehner(T, sset)
         for blk in (al.minus, al.plus):
             chi = oracles.hessenberg_charpoly_mod(blk.to_dense(), nu)
@@ -108,7 +108,7 @@ def test_detect_factors_matches_table_on_constructed_chi(candidate_lists, factor
 
 
 def test_lift_1dim_p11(rng):
-    sset, T = ssgraph.build_adjacency(11, 2, rng)
+    sset, T = ssgraph.build_adjacency(11, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
@@ -119,7 +119,7 @@ def test_lift_1dim_p11(rng):
 
 
 def test_lift_1dim_p37_both_blocks(rng):
-    sset, T = ssgraph.build_adjacency(37, 2, rng)
+    sset, T = ssgraph.build_adjacency(37, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
     seen = {}
     for name, blk in [("minus", al.minus), ("plus", al.plus)]:
@@ -148,7 +148,7 @@ def test_lift_1dim_unit_entry_returns_first(rng):
 
 
 def test_lift_highdim_p23(rng):
-    sset, T = ssgraph.build_adjacency(23, 2, rng)
+    sset, T = ssgraph.build_adjacency(23, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
     chi, _ = gf.npoly_divrem(rec.chi, np.array([(-3) % rec.nu, 1]), rec.nu)
@@ -156,8 +156,7 @@ def test_lift_highdim_p23(rng):
     assert rho == (-1, 1, 1) and mult == 1
 
     def t_ell(ell):
-        s2, T2 = ssgraph.build_adjacency(23, ell, rng)
-        return ssgraph.split_atkin_lehner(T2, s2).minus
+        return ssgraph.split_atkin_lehner(ssgraph.hecke_matrix(sset, ell), sset).minus
 
     hl = lift.lift_highdim(al.minus, rho, 1, rec.mu, rec.nu, rng,
                            lift.LiftSearchConfig(), t_ell, 23)

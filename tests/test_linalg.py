@@ -257,6 +257,64 @@ def test_mu_annihilates_fresh_vectors(rng):
         assert not len(r)
 
 
+def _annihilates_vector_by_vector(poly, A, nu, rng, trials):
+    """The check one vector at a time, stopping at the first failure."""
+    for _ in range(trials):
+        v = rng.integers(0, nu, A.shape[0])
+        acc = sum(int(c) * (np.linalg.matrix_power(A, k) @ v) for k, c in enumerate(poly))
+        if (acc % nu).any():
+            return False
+    return True
+
+
+def test_annihilates_block_matches_vector_by_vector():
+    # t kills a vector of diag(1, 0) mod 2 exactly when its first entry is 0,
+    # so most seeds mix killed and surviving vectors in one block of three:
+    # the block check must fail whenever one vector survives, and leave the
+    # generator where the vector-by-vector check stops
+    A = np.diag([1, 0]).astype(np.int64)
+    M = linalg.SparseSignedMatrix.from_dense(A)
+    outcomes = []
+    for seed in range(64):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = linalg.annihilates(np.array([0, 1]), M, 2, a, 3)
+        assert got == _annihilates_vector_by_vector([0, 1], A, 2, b, 3), seed
+        assert a.integers(0, 2**32) == b.integers(0, 2**32)
+        outcomes.append(got)
+    assert 0 < sum(outcomes) < len(outcomes)
+    # (t - 1) t kills every vector
+    assert linalg.annihilates(np.array([0, 1, 1]), M, 2, np.random.default_rng(0), 3)
+
+
+def test_rank_and_inverse_mod_match_sympy(rng):
+    from sympy import GF, ZZ
+    from sympy.polys.matrices import DomainMatrix
+
+    singular = 0
+    for nu in (5, 101, 999983):
+        for t in range(30):
+            rows, cols = (int(x) for x in rng.integers(1, 7, 2))
+            cols = rows if t % 2 else cols
+            # a product through k <= min(rows, cols) dimensions, so that rank
+            # deficiency is common
+            k = int(rng.integers(1, min(rows, cols) + 1))
+            a = rng.integers(0, nu, (rows, k)) @ rng.integers(0, 3, (k, cols))
+            dm = DomainMatrix([[ZZ(int(x)) for x in row] for row in a], a.shape,
+                              ZZ).convert_to(GF(nu))
+            rank = dm.rank()
+            assert linalg.rank_mod(a, nu) == rank
+            if rows != cols:
+                continue
+            inv = linalg.inv_mod(a, nu)
+            if rank < rows:
+                assert inv is None
+                singular += 1
+            else:
+                want = [[int(x) % nu for x in row] for row in dm.inv().to_Matrix().tolist()]
+                assert inv.tolist() == want
+    assert singular > 0
+
+
 def test_wiedemann_vs_dense_oracle_small(rng):
     for _ in range(30):
         A = random_sparse_matrix(rng, nmax=40)

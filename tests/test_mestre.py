@@ -7,7 +7,7 @@ from ssforms import gf, lift, linalg, mestre, numfield, series, ssgraph
 
 
 def _level_setup(p, rng):
-    sset, T = ssgraph.build_adjacency(p, 2, rng)
+    sset, T = ssgraph.build_adjacency(p, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
     return sset, T, al
 
@@ -147,8 +147,7 @@ def test_eigenvalue_of_examples(rng):
     fld = numfield.NumberField([2, 1])
     evec = [fld.elt([Fraction(int(x))]) for x in v]
     assert mestre.eigenvalue_of(evec, al.minus, fld) == fld.elt([-2])
-    s3, T3 = ssgraph.build_adjacency(11, 3, rng)
-    al3 = ssgraph.split_atkin_lehner(T3, s3)
+    al3 = ssgraph.split_atkin_lehner(ssgraph.hecke_matrix(sset, 3), sset)
     a3 = mestre.eigenvalue_of(evec, al3.minus, fld)
     curve = oracles.GOLDEN_CURVES[11][0]
     assert a3 == fld.elt([oracles.curve_ap(curve, 3, 11)])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssforms import pipeline, ssgraph
+from ssforms import linalg, pipeline, ssgraph
 
 
 def test_run_level_p11():
@@ -101,6 +101,27 @@ def test_charpoly_counters_logged_and_kept_out_of_levels(caplog):
     assert len(lines) == 2 and all("bm_runs=" in x and "bm_skipped=" in x for x in lines)
     assert sum(int(x.split("bm_skipped=")[1].split()[0]) for x in lines) > 0
     assert not any(k.startswith("bm_") for blk in rep.blocks.values() for k in blk)
+
+
+def test_sieve_reuses_the_lifting_charpoly(monkeypatch):
+    # at p = 431 the minus block's sieve uses nu = 999983, whose charpoly the
+    # lifting stage already holds, and nu = 999979, which it computes
+    sieve_nus = []
+    real = linalg.hecke_charpoly
+
+    def recording(m, params, rng, nu_start_index=0):
+        rec = real(m, params, rng, nu_start_index)
+        if params.max_nus == 1:  # only the sieve pins a single modulus
+            sieve_nus.append(rec.nu)
+        return rec
+
+    monkeypatch.setattr(linalg, "hecke_charpoly", recording)
+    rep = pipeline.run_level(431, pipeline.RunConfig(level=431, run_sieve=True))
+    minus = rep.blocks["minus"]
+    assert minus["nu"] == 999983 and minus["sieve"]["nus"] == [999983, 999979]
+    assert sieve_nus == [999979]
+    assert minus["sieve"]["eliminated"] == [7, 8, 9, 10, 11, 12]
+    assert minus["sieve"]["certified_remainder"] == 24
 
 
 def test_cli_level(tmp_path):
