@@ -6,6 +6,12 @@ above a crossover degree), used for the long polynomials of the charpoly and
 sieve stages.  Over F_{p^2} the package only ever solves quadratics, in the
 ell=2 graph walk, and `poly_roots` does that with one square root.
 
+The Frobenius a -> a^m mod f is F_m-linear, so `NPolyModCtx.frobenius`
+builds its matrix Q (row i is x^(i*m) mod f) once repeated calls would cost
+more than that, and then maps a to a @ Q.  Distinct-degree factoring, Rabin's
+test and equal-degree splitting iterate it instead of paying a full `powmod`
+per step.  `dot_mod` is the one overflow rule for int64 dot products mod m.
+
 Field elements are plain ints (prime field) or (a, b) tuples (quadratic
 extension, meaning a + b*xi with xi^2 = nonresidue).
 """
@@ -21,6 +27,28 @@ MAX_MODULUS = 2**30
 
 class ModulusError(ValueError):
     pass
+
+
+def _int64_terms(m: int) -> int:
+    """How many products of two entries in [0, m) an int64 sum can hold."""
+    return (2**63 - 1) // (m - 1) ** 2
+
+
+def dot_mod(a: np.ndarray, x: np.ndarray, m: int):
+    """(a @ x) mod m, for a vector or a matrix a, a vector or a matrix x, and
+    int64 entries in [0, m).
+
+    A product is at most (m - 1)^2, so a sum of `_int64_terms(m)` =
+    (2^63 - 1) // (m - 1)^2 of them fits in int64: one chunk for every length below 2^23 when
+    m < 2^20, and 8 terms at m = 2^30 - 35.  Longer sums are split into
+    chunks of that many terms, each reduced mod m before they are added."""
+    if not 2 <= m <= MAX_MODULUS:
+        raise ModulusError(f"modulus {m} is outside [2, {MAX_MODULUS}]")
+    chunk = _int64_terms(m)
+    if len(x) <= chunk:
+        return (a @ x) % m
+    return sum((a[..., i : i + chunk] @ x[i : i + chunk]) % m
+               for i in range(0, len(x), chunk)) % m
 
 
 def is_probable_prime(n: int) -> bool:
@@ -359,28 +387,58 @@ def npoly_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return x[:out_len]
 
 
+def _rem_in_place(a: np.ndarray, b: np.ndarray, m: int,
+                  q: np.ndarray | None = None) -> int:
+    """Reduce a mod b in place, one slice update per quotient term, and return
+    the length of the trimmed remainder a[:len], whose entries end in [0, m).
+    a and b must be trimmed, with entries in [0, m); the quotient goes into q
+    when one is given.
+
+    The top coefficient each term cancels is never written: it is past the
+    remainder.  Each term subtracts at most one product of at most (m - 1)^2
+    from an entry, so entries are reduced mod m only once `_int64_terms(m)` terms
+    have gone by, and at the end."""
+    db = len(b) - 1
+    low = b[:-1]
+    inv_lead = pow(int(b[-1]), -1, m)
+    room = _int64_terms(m)
+    pending = 0
+    top = len(a) - 1
+    while top >= db:
+        c = int(a[top]) % m * inv_lead % m
+        if c:
+            if q is not None:
+                q[top - db] = c
+            a[top - db : top] -= c * low
+            pending += 1
+            if pending == room:
+                a[:top] %= m
+                pending = 0
+        top -= 1
+    a[: top + 1] %= m
+    while top >= 0 and not a[top]:
+        top -= 1
+    return top + 1
+
+
 def npoly_divrem(a: np.ndarray, b: np.ndarray, m: int):
-    """Schoolbook Euclidean division mod m (used off the hot path)."""
-    b = npoly_trim(b)
+    """Schoolbook Euclidean division mod m: the quotient and the trimmed
+    remainder, one slice update per quotient term."""
+    b = npoly_trim(np.asarray(b, dtype=np.int64) % m)
     if len(b) == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    a = npoly_trim(a.copy())
+    a = npoly_trim(np.asarray(a, dtype=np.int64) % m)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
         return np.zeros(0, dtype=np.int64), a
-    inv_lead = pow(int(b[-1]), -1, m)
     q = np.zeros(da - db + 1, dtype=np.int64)
-    for k in range(da - db, -1, -1):
-        c = a[k + db] * inv_lead % m
-        if c:
-            q[k] = c
-            a[k : k + db + 1] = (a[k : k + db + 1] - c * b) % m
-    return q, npoly_trim(a[:db])
+    return q, a[: _rem_in_place(a, b, m, q)]
 
 
 class NPolyModCtx:
     """Repeated multiplication mod a fixed monic f over F_m, with a
-    precomputed Newton inverse of the reversed modulus for fast reduction."""
+    precomputed Newton inverse of the reversed modulus for fast reduction and,
+    once repeated Frobenius calls pay for it, the Frobenius matrix."""
 
     def __init__(self, f: np.ndarray, m: int):
         f = npoly_trim(np.asarray(f, dtype=np.int64) % m)
@@ -393,6 +451,9 @@ class NPolyModCtx:
         self.n = len(f) - 1
         rev = f[::-1].copy()
         self.rev_inv = npoly_series_inv(rev, self.n, m) if self.n > 0 else None
+        self._powmod_cost = m.bit_length() + bin(m).count("1")
+        self._frob_calls = 0
+        self._frob_matrix: np.ndarray | None = None
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
         a = npoly_trim(np.asarray(a, dtype=np.int64) % self.m)
@@ -427,6 +488,31 @@ class NPolyModCtx:
             e >>= 1
         return r
 
+    def frobenius(self, a: np.ndarray) -> np.ndarray:
+        """a^m mod f, as a length-n array; f must have degree n >= 1.
+
+        The first calls are plain powmods.  Once the calls made would have
+        cost more than n mulmods, each being about m.bit_length() +
+        popcount(m) of them, the matrix Q of the F_m-linear map
+        a(x) -> a(x^m) is built: row i is x^(i*m) mod f, one powmod and n - 2
+        mulmods in all.  Every later call is one product a @ Q mod m."""
+        if self._frob_matrix is None:
+            self._frob_calls += 1
+            if self._frob_calls * self._powmod_cost <= self.n:
+                return self.powmod(a, self.m)
+            self._frob_matrix = self._build_frobenius_matrix()
+        return dot_mod(self.reduce(a), self._frob_matrix, self.m)
+
+    def _build_frobenius_matrix(self) -> np.ndarray:
+        n = self.n
+        q = np.zeros((n, n), dtype=np.int64)
+        q[0, 0] = 1
+        if n > 1:
+            q[1] = self.powmod(np.array([0, 1], dtype=np.int64), self.m)
+            for i in range(2, n):
+                q[i] = self.mulmod(q[i - 1], q[1])
+        return q
+
 
 def npoly_series_inv(a: np.ndarray, prec: int, m: int) -> np.ndarray:
     """Power-series inverse of a (a[0] invertible) to prec terms via Newton."""
@@ -446,13 +532,13 @@ def npoly_series_inv(a: np.ndarray, prec: int, m: int) -> np.ndarray:
 
 
 def npoly_gcd(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    a, b = npoly_trim(a.copy()), npoly_trim(b.copy())
+    """Monic gcd mod m by Euclid; each remainder is taken in place in the
+    dividend's own array."""
+    a = npoly_trim(np.asarray(a, dtype=np.int64) % m)
+    b = npoly_trim(np.asarray(b, dtype=np.int64) % m)
     while len(b):
-        a, b = b, npoly_divrem(a, b, m)[1]
-    a = npoly_trim(a)
-    if len(a):
-        a = a * pow(int(a[-1]), -1, m) % m
-    return a
+        a, b = b, a[: _rem_in_place(a, b, m)]
+    return _npoly_monic(a, m)
 
 
 def npoly_eval(a: np.ndarray, x: int, m: int) -> int:
@@ -502,17 +588,29 @@ def npoly_squarefree_decomposition(f: np.ndarray, m: int) -> list[tuple[np.ndarr
     return out
 
 
+def _minus_x(h: np.ndarray, m: int) -> np.ndarray:
+    """h - x for an array h of at least two coefficients in [0, m)."""
+    out = h.copy()
+    out[1] = (out[1] - 1) % m
+    return out
+
+
 def npoly_distinct_degree(f: np.ndarray, m: int,
                           max_degree: int | None = None) -> list[tuple[np.ndarray, int]]:
     """Distinct-degree factorization of a squarefree monic f over F_m:
     returns (product of all irreducible factors of degree d, d) pairs.
     With ``max_degree`` only the pairs with d <= max_degree are computed and
-    the factors of higher degree are dropped."""
+    the factors of higher degree are dropped.
+
+    h_d = x^(m^d) is iterated mod the input f by one context's `frobenius`;
+    it is reduced mod the shrinking f only inside the gcd with h_d - x."""
     f = _npoly_monic(np.asarray(f, dtype=np.int64) % m, m)
+    if len(f) < 2:
+        return []
     out = []
     d = 0
-    x = np.array([0, 1], dtype=np.int64)
-    h = x.copy()
+    ctx = NPolyModCtx(f, m)
+    h = np.array([0, 1], dtype=np.int64)
     while len(f) - 1 > 0:
         d += 1
         if max_degree is not None and d > max_degree:
@@ -521,37 +619,40 @@ def npoly_distinct_degree(f: np.ndarray, m: int,
             if max_degree is None or len(f) - 1 <= max_degree:
                 out.append((f, len(f) - 1))
             break
-        ctx = NPolyModCtx(f, m)
-        h = ctx.powmod(h, m)
-        diff = npoly_trim((h - ctx.reduce(x)) % m)
-        g = npoly_gcd(diff, f, m)
+        h = ctx.frobenius(h)
+        g = npoly_gcd(_minus_x(h, m), f, m)
         if len(g) > 1:
             out.append((g, d))
             f = npoly_divrem(f, g, m)[0]
-            h = npoly_divrem(h, f, m)[1] if len(f) > 1 else h
     return out
 
 
 def npoly_equal_degree_split(f: np.ndarray, d: int, m: int, rng,
                              attempt_cap: int = 64) -> list[np.ndarray]:
-    """Cantor-Zassenhaus: split a product of degree-d irreducibles."""
+    """Cantor-Zassenhaus: split a product of degree-d irreducibles.
+
+    Each attempt draws a and takes a^((m^d - 1)/2) as
+    (a * a^m * ... * a^(m^(d-1)))^((m - 1)/2): d - 1 Frobenius calls and
+    mulmods on the call's one context, then one powmod."""
     f = _npoly_monic(np.asarray(f, dtype=np.int64) % m, m)
     n = len(f) - 1
     if n == d:
         return [f]
-    e = (pow(m, d) - 1) // 2
+    ctx = NPolyModCtx(f, m)
     for _ in range(attempt_cap):
         a = np.array(rng.integers(0, m, n), dtype=np.int64)
         if not a.any():
             continue
-        ctx = NPolyModCtx(f, m)
-        t = ctx.powmod(a, e)
-        t = npoly_trim(t)
+        norm = conj = ctx.reduce(a)
+        for _ in range(d - 1):
+            conj = ctx.frobenius(conj)
+            norm = ctx.mulmod(norm, conj)
+        t = npoly_trim(ctx.powmod(norm, (m - 1) // 2))
         if len(t) == 0:
             continue
         t = t.copy()
         t[0] = (t[0] - 1) % m
-        g = npoly_gcd(npoly_trim(t), f, m)
+        g = npoly_gcd(t, f, m)
         if 0 < len(g) - 1 < n:
             rest = npoly_divrem(f, g, m)[0]
             return npoly_equal_degree_split(g, d, m, rng, attempt_cap) + \
@@ -560,7 +661,9 @@ def npoly_equal_degree_split(f: np.ndarray, d: int, m: int, rng,
 
 
 def npoly_rabin_irreducible(f: np.ndarray, m: int) -> bool:
-    """Rabin's irreducibility test over F_m."""
+    """Rabin's irreducibility test over F_m: f of degree n is irreducible iff
+    x^(m^n) = x mod f and gcd(x^(m^(n/q)) - x, f) = 1 for each prime q | n.
+    The powers x^(m^k) come from iterating `frobenius`."""
     f = _npoly_monic(np.asarray(f, dtype=np.int64) % m, m)
     n = len(f) - 1
     if n <= 0:
@@ -568,34 +671,24 @@ def npoly_rabin_irreducible(f: np.ndarray, m: int) -> bool:
     if n == 1:
         return True
     ctx = NPolyModCtx(f, m)
-    x = np.array([0, 1], dtype=np.int64)
-    # prime divisors of n
-    ps = []
+    # n / q for the prime divisors q of n
+    cofactors = set()
     nn = n
     q = 2
     while q * q <= nn:
         if nn % q == 0:
-            ps.append(q)
+            cofactors.add(n // q)
             while nn % q == 0:
                 nn //= q
         q += 1
     if nn > 1:
-        ps.append(nn)
-    # x^(m^n) == x mod f
-    h = ctx.reduce(x)
-    frob = {0: h}
+        cofactors.add(n // nn)
+    h = np.array([0, 1], dtype=np.int64)
     for k in range(1, n + 1):
-        h = ctx.powmod(h, m)
-        frob[k] = h
-    top = npoly_trim((frob[n] - ctx.reduce(x)) % m)
-    if len(top):
-        return False
-    for q in ps:
-        diff = npoly_trim((frob[n // q] - ctx.reduce(x)) % m)
-        g = npoly_gcd(diff, f, m)
-        if len(g) - 1 != 0:
+        h = ctx.frobenius(h)
+        if k in cofactors and len(npoly_gcd(_minus_x(h, m), f, m)) > 1:
             return False
-    return True
+    return not _minus_x(h, m).any()
 
 
 def npoly_linear_roots(f: np.ndarray, m: int, rng) -> list[int]:
@@ -605,16 +698,8 @@ def npoly_linear_roots(f: np.ndarray, m: int, rng) -> list[int]:
         return []
     if len(f) - 1 <= 2:
         return _small_roots(f, m, rng)
-    ctx = NPolyModCtx(f, m)
-    xm = ctx.powmod(np.array([0, 1], dtype=np.int64), m)
-    xm = npoly_trim(xm)
-    diff = xm.copy() if len(xm) else np.zeros(0, dtype=np.int64)
-    if len(diff) < 2:
-        d2 = np.zeros(2, dtype=np.int64)
-        d2[: len(diff)] = diff
-        diff = d2
-    diff[1] = (diff[1] - 1) % m
-    lin = npoly_gcd(npoly_trim(diff), f, m)
+    xm = NPolyModCtx(f, m).powmod(np.array([0, 1], dtype=np.int64), m)
+    lin = npoly_gcd(_minus_x(xm, m), f, m)
     if len(lin) - 1 <= 0:
         return []
     if len(lin) - 1 <= 2:

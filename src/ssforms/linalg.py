@@ -118,22 +118,6 @@ def matvec(m: SparseSignedMatrix, v: np.ndarray, nu: int) -> np.ndarray:
     return m.matvec_mod(np.asarray(v, dtype=np.int64) % nu, nu)
 
 
-def _dot_mod(a: np.ndarray, x: np.ndarray, nu: int):
-    """(a @ x) mod nu, for a vector or a matrix a and int64 entries in [0, nu).
-
-    A product is below (nu - 1)^2, so a sum of up to (2^63 - 1) // (nu - 1)^2
-    of them fits in int64: one chunk for every length below 2^23 when
-    nu < 2^20, and 8 terms at nu = 2^30 - 35.  Longer sums are split into
-    chunks of that many terms, each reduced mod nu before they are added."""
-    if not 2 <= nu <= gf.MAX_MODULUS:
-        raise gf.ModulusError(f"modulus {nu} is outside [2, {gf.MAX_MODULUS}]")
-    chunk = (2**63 - 1) // (nu - 1) ** 2
-    if len(x) <= chunk:
-        return (a @ x) % nu
-    return sum((a[..., i : i + chunk] @ x[i : i + chunk]) % nu
-               for i in range(0, len(x), chunk)) % nu
-
-
 def berlekamp_massey(seq, nu: int) -> np.ndarray:
     """Monic minimal-length recurrence polynomial of a scalar sequence mod nu.
 
@@ -146,7 +130,7 @@ def berlekamp_massey(seq, nu: int) -> np.ndarray:
     len_c and len_b are their logical lengths, which never exceed len(seq).
     Each step's discrepancy is one chunked dot product, and each update one
     slice operation, whose products coef * B stay below nu^2 <= 2^60 because
-    _dot_mod has already rejected any larger nu.
+    gf.dot_mod has already rejected any larger nu.
     """
     s = np.asarray(seq)
     if s.dtype.kind == "i":
@@ -161,7 +145,7 @@ def berlekamp_massey(seq, nu: int) -> np.ndarray:
     len_c = len_b = 1
     L, m, b = 0, 1, 1
     for n_ in range(N):
-        d = int(_dot_mod(C[: L + 1], rev[N - 1 - n_ : N - n_ + L], nu))
+        d = int(gf.dot_mod(C[: L + 1], rev[N - 1 - n_ : N - n_ + L], nu))
         if d == 0:
             m += 1
             continue
@@ -189,7 +173,7 @@ def berlekamp_massey(seq, nu: int) -> np.ndarray:
 def _annihilates_sequence(f: np.ndarray, s: np.ndarray, nu: int) -> bool:
     """sum_i f[i] s[j+i] = 0 mod nu for every window j of s."""
     windows = np.lib.stride_tricks.sliding_window_view(s, len(f))
-    return not _dot_mod(windows, f, nu).any()
+    return not gf.dot_mod(windows, f, nu).any()
 
 
 def taylor_shift(f: np.ndarray, k: int, nu: int) -> np.ndarray:

@@ -549,6 +549,121 @@ def _divide_monic_mod(f: list[int], g: list[int], nu: int) -> tuple[list[int], b
 
 
 # ---------------------------------------------------------------------------
+# Factoring over F_m with one full powmod per Frobenius step: the
+# distinct-degree, equal-degree and Rabin routines gf had before its
+# Frobenius matrix, on the schoolbook division and Euclid they used.  Only
+# NPolyModCtx.powmod is shared with the package.
+# ---------------------------------------------------------------------------
+
+
+def npoly_divrem_ref(a: np.ndarray, b: np.ndarray, m: int):
+    """Schoolbook division mod m, one quotient term at a time."""
+    b = gf.npoly_trim(b)
+    if len(b) == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = gf.npoly_trim(a.copy())
+    db, da = len(b) - 1, len(a) - 1
+    if da < db:
+        return np.zeros(0, dtype=np.int64), a
+    inv_lead = pow(int(b[-1]), -1, m)
+    q = np.zeros(da - db + 1, dtype=np.int64)
+    for k in range(da - db, -1, -1):
+        c = a[k + db] * inv_lead % m
+        if c:
+            q[k] = c
+            a[k : k + db + 1] = (a[k : k + db + 1] - c * b) % m
+    return q, gf.npoly_trim(a[:db])
+
+
+def npoly_gcd_ref(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Monic gcd by Euclid on npoly_divrem_ref."""
+    a, b = gf.npoly_trim(a.copy()), gf.npoly_trim(b.copy())
+    while len(b):
+        a, b = b, npoly_divrem_ref(a, b, m)[1]
+    return _monic_ref(a, m)
+
+
+def _monic_ref(a: np.ndarray, m: int) -> np.ndarray:
+    a = gf.npoly_trim(a)
+    if len(a) and int(a[-1]) != 1:
+        a = a * pow(int(a[-1]), -1, m) % m
+    return a
+
+
+def distinct_degree_ref(f: np.ndarray, m: int, max_degree: int | None = None):
+    """Distinct-degree factorization with a new context and one
+    powmod(h, m) per degree, h reduced mod each shrunken f."""
+    f = _monic_ref(np.asarray(f, dtype=np.int64) % m, m)
+    out = []
+    d = 0
+    x = np.array([0, 1], dtype=np.int64)
+    h = x.copy()
+    while len(f) - 1 > 0:
+        d += 1
+        if max_degree is not None and d > max_degree:
+            break
+        if len(f) - 1 < 2 * d:
+            if max_degree is None or len(f) - 1 <= max_degree:
+                out.append((f, len(f) - 1))
+            break
+        ctx = gf.NPolyModCtx(f, m)
+        h = ctx.powmod(h, m)
+        diff = gf.npoly_trim((h - ctx.reduce(x)) % m)
+        g = npoly_gcd_ref(diff, f, m)
+        if len(g) > 1:
+            out.append((g, d))
+            f = npoly_divrem_ref(f, g, m)[0]
+            h = npoly_divrem_ref(h, f, m)[1] if len(f) > 1 else h
+    return out
+
+
+def equal_degree_split_ref(f: np.ndarray, d: int, m: int, rng,
+                           attempt_cap: int = 64) -> list[np.ndarray]:
+    """Cantor-Zassenhaus with one powmod(a, (m^d - 1)/2) per attempt."""
+    f = _monic_ref(np.asarray(f, dtype=np.int64) % m, m)
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    e = (pow(m, d) - 1) // 2
+    for _ in range(attempt_cap):
+        a = np.array(rng.integers(0, m, n), dtype=np.int64)
+        if not a.any():
+            continue
+        t = gf.npoly_trim(gf.NPolyModCtx(f, m).powmod(a, e))
+        if len(t) == 0:
+            continue
+        t = t.copy()
+        t[0] = (t[0] - 1) % m
+        g = npoly_gcd_ref(gf.npoly_trim(t), f, m)
+        if 0 < len(g) - 1 < n:
+            rest = npoly_divrem_ref(f, g, m)[0]
+            return equal_degree_split_ref(g, d, m, rng, attempt_cap) + \
+                equal_degree_split_ref(rest, d, m, rng, attempt_cap)
+    raise ArithmeticError(f"equal-degree splitting stalled after {attempt_cap} attempts")
+
+
+def rabin_irreducible_ref(f: np.ndarray, m: int) -> bool:
+    """Rabin's test with x^(m^k) for every k <= n, each by a powmod."""
+    f = _monic_ref(np.asarray(f, dtype=np.int64) % m, m)
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    ctx = gf.NPolyModCtx(f, m)
+    x = ctx.reduce(np.array([0, 1], dtype=np.int64))
+    frob = [x]
+    for _ in range(n):
+        frob.append(ctx.powmod(frob[-1], m))
+    if gf.npoly_trim((frob[n] - x) % m).size:
+        return False
+    primes = [q for q in range(2, n + 1) if n % q == 0
+              and all(q % r for r in range(2, q))]
+    return all(len(npoly_gcd_ref(gf.npoly_trim((frob[n // q] - x) % m), f, m)) == 1
+               for q in primes)
+
+
+# ---------------------------------------------------------------------------
 # Generic tuple polynomials over any field context, and the ell-general
 # isogeny-graph BFS built on them
 # ---------------------------------------------------------------------------

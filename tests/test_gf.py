@@ -247,3 +247,121 @@ def test_rabin_cross_check(rng):
     # a product is never irreducible
     f = gf.npoly_mul(np.array([1, 1], dtype=np.int64), np.array([2, 1], dtype=np.int64), m)
     assert not gf.npoly_rabin_irreducible(f, m)
+
+
+def _monic_random(rng, d, m):
+    return np.array(list(rng.integers(0, m, d)) + [1], dtype=np.int64)
+
+
+def _irreducible(rng, d, m, avoid=()):
+    """A random monic irreducible of degree d, certified by the oracle."""
+    while True:
+        g = _monic_random(rng, d, m)
+        if oracles.rabin_irreducible_ref(g, m) and g.tolist() not in avoid:
+            return g
+
+
+def _product(polys, m):
+    out = np.array([1], dtype=np.int64)
+    for g in polys:
+        out = gf.npoly_mul(out, g, m)
+    return out
+
+
+def test_frobenius_matches_powmod_on_both_sides_of_the_build(rng):
+    # a call costs m.bit_length() + popcount(m) mulmods: 5 at m = 5, 31 at
+    # 999983, 58 at 2^30 - 35; Q is built once the calls made cost more than
+    # n = deg f.  Above n = 2 at 2^30 - 35, npoly_mul exceeds its CRT bound.
+    for m, degrees in ((5, (1, 2, 12)), (7, (3, 20)), (101, (5, 40)),
+                       (999983, (2, 30, 70)), (2**30 - 35, (1, 2))):
+        cost = m.bit_length() + bin(m).count("1")
+        for n in degrees:
+            ctx = gf.NPolyModCtx(_monic_random(rng, n, m), m)
+            h = np.array([0, 1], dtype=np.int64)
+            for call in range(1, 5):
+                a = rng.integers(0, m, n)
+                assert ctx.frobenius(a).tolist() == ctx.powmod(a, m).tolist()
+                want = ctx.powmod(h, m)
+                h = ctx.frobenius(h)
+                assert h.tolist() == want.tolist()
+                built_by_now = (2 * call) * cost > n
+                assert (ctx._frob_matrix is not None) == built_by_now
+
+
+def test_distinct_degree_matches_oracle(rng):
+    for m, degrees in ((101, (1, 1, 2, 3, 5, 7, 12)),
+                       (999983, (1, 2, 2, 4, 6, 9, 12, 12)),
+                       (999983, (1, 3, 8, 10, 11))):
+        parts = []
+        for d in degrees:
+            parts.append(_irreducible(rng, d, m, [g.tolist() for g in parts]))
+        f = _product(parts, m)
+        for cap in (None, 1, 3, 6, 12):
+            got = gf.npoly_distinct_degree(f, m, max_degree=cap)
+            want = oracles.distinct_degree_ref(f, m, max_degree=cap)
+            assert [(g.tolist(), d) for g, d in got] == [(g.tolist(), d) for g, d in want]
+        assert sorted(d for _, d in gf.npoly_distinct_degree(f, m)) == sorted(set(degrees))
+
+
+def test_equal_degree_split_matches_oracle_and_its_draws(rng):
+    m = 999983
+    for d, k in ((1, 6), (2, 5), (3, 4), (5, 3), (12, 2)):
+        parts = []
+        for _ in range(k):
+            parts.append(_irreducible(rng, d, m, [g.tolist() for g in parts]))
+        f = _product(parts, m)
+        for seed in (0, 1):
+            r_got, r_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = gf.npoly_equal_degree_split(f, d, m, r_got)
+            want = oracles.equal_degree_split_ref(f, d, m, r_want)
+            assert [g.tolist() for g in got] == [g.tolist() for g in want]
+            assert sorted(g.tolist() for g in got) == sorted(g.tolist() for g in parts)
+            assert r_got.bit_generator.state == r_want.bit_generator.state
+
+
+def test_rabin_matches_oracle(rng):
+    m = 999983
+    for n in (1, 2, 6, 12, 30):
+        cases = [_monic_random(rng, n, m) for _ in range(3)]
+        cases.append(_irreducible(rng, n, m))
+        # x^(m^n) = x mod f, but the gcd condition fails: n/q-degree factors
+        for q in {q for q in (2, 3, 5) if n % q == 0}:
+            half = [_irreducible(rng, n // q, m)]
+            while len(half) < q:
+                half.append(_irreducible(rng, n // q, m, [g.tolist() for g in half]))
+            cases.append(_product(half, m))
+        if n > 1:
+            cases.append(_product([_irreducible(rng, 1, m)] * 2 + [_monic_random(rng, n - 2, m)], m))
+        for f in cases:
+            want = oracles.rabin_irreducible_ref(f, m)
+            assert gf.npoly_rabin_irreducible(f, m) == want
+    # the equal-degree products above pass the first condition only
+    f = _product([_irreducible(rng, 3, m), _irreducible(rng, 3, m)], m)
+    ctx = gf.NPolyModCtx(f, m)
+    h = np.array([0, 1], dtype=np.int64)
+    for _ in range(6):
+        h = ctx.powmod(h, m)
+    assert gf.npoly_trim(h).tolist() == [0, 1]
+    assert not gf.npoly_rabin_irreducible(f, m)
+
+
+@pytest.mark.parametrize("m", [999983, 2**30 - 35])
+@pytest.mark.parametrize("deg", [0, 1, 45, 300])
+def test_gcd_and_divrem_match_oracle(rng, deg, m):
+    # at 2^30 - 35 an entry takes at most 7 unreduced products, so long
+    # divisions reduce mid-way; products are exact object convolutions
+    def mul(f, g):
+        return np.array(np.convolve(f.astype(object), g.astype(object)) % m, dtype=np.int64)
+
+    common = _monic_random(rng, 3, m)
+    a = mul(common, _monic_random(rng, deg, m))
+    b = mul(common, _monic_random(rng, max(deg - 1, 0), m))
+    b = b * 7 % m  # not monic
+    mid = mul(common, rng.integers(1, m, 61))  # long quotients by a long divisor
+    zero = np.zeros(0, dtype=np.int64)
+    for x, y in ((a, b), (b, a), (a, zero), (zero, b), (a, a), (a, common), (a, mid)):
+        assert gf.npoly_gcd(x, y, m).tolist() == oracles.npoly_gcd_ref(x, y, m).tolist()
+    for x, y in ((a, b), (b, a), (a, common), (common, a), (a, b[-1:]), (a, mid)):
+        q, r = gf.npoly_divrem(x, y, m)
+        q_want, r_want = oracles.npoly_divrem_ref(x, y, m)
+        assert (q.tolist(), r.tolist()) == (q_want.tolist(), r_want.tolist())

@@ -134,11 +134,13 @@ def test_dot_mod_chunks_stay_exact(rng):
             a = rng.integers(max(0, nu - 3), nu, (5, n))
             x = rng.integers(max(0, nu - 3), nu, n)
             want = [sum(int(r[t]) * int(x[t]) for t in range(n)) % nu for r in a]
-            assert linalg._dot_mod(a, x, nu).tolist() == want
-            assert int(linalg._dot_mod(a[0], x, nu)) == want[0]
+            assert gf.dot_mod(a, x, nu).tolist() == want
+            assert int(gf.dot_mod(a[0], x, nu)) == want[0]
+            # a vector times a matrix, the shape of a Frobenius product
+            assert gf.dot_mod(x, a.T, nu).tolist() == want
     with pytest.raises(gf.ModulusError):
-        linalg._dot_mod(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64),
-                        gf.MAX_MODULUS + 1)
+        gf.dot_mod(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64),
+                   gf.MAX_MODULUS + 1)
 
 
 def _same_wiedemann(M, params, seed, nu, budget):
