@@ -1,16 +1,22 @@
 """Exact arithmetic in F_nu, F_p, F_{p^2}, and univariate polynomials over F_m.
 
 One polynomial layer lives here: numpy int64 coefficient arrays over a
-single-word prime field, with quasi-linear multiplication (NTT + 2-prime CRT
-above a crossover degree), used for the long polynomials of the charpoly and
-sieve stages.  Over F_{p^2} the package only ever solves quadratics, in the
-ell=2 graph walk, and `poly_roots` does that with one square root.
+single-word prime field, used for the long polynomials of the charpoly and
+sieve stages.  `npoly_mul` is schoolbook np.convolve up to NTT_CROSSOVER
+terms, in float64 whenever min(len a, len b) * (m - 1)^2 < 2^53, where every
+partial sum is an integer that float64 holds exactly, in 15-bit limbs when
+that bound fails, and in int64 for short factors.  Above the crossover it is
+quasi-linear: NTT modulo two primes and CRT.  Over F_{p^2} the package only
+ever solves quadratics, in the ell=2 graph walk, and `poly_roots` does that
+with one square root.
 
 The Frobenius a -> a^m mod f is F_m-linear, so `NPolyModCtx.frobenius`
 builds its matrix Q (row i is x^(i*m) mod f) once repeated calls would cost
 more than that, and then maps a to a @ Q.  Distinct-degree factoring, Rabin's
 test and equal-degree splitting iterate it instead of paying a full `powmod`
-per step.  `dot_mod` is the one overflow rule for int64 dot products mod m.
+per step; distinct-degree factoring capped at degree D first cuts f to its
+factors of degree <= D with one gcd.  `dot_mod` is the one overflow rule for
+int64 dot products mod m.
 
 Field elements are plain ints (prime field) or (a, b) tuples (quadratic
 extension, meaning a + b*xi with xi^2 = nonresidue).
@@ -197,6 +203,12 @@ class QuadExtCtx:
     def trace(self, x) -> int:
         return 2 * x[0] % self.p
 
+    def legendre(self, x) -> int:
+        """+1 square, -1 nonsquare, 0 for x = 0.  x^((p^2 - 1)/2) =
+        norm(x)^((p - 1)/2), so x is a square in F_{p^2} iff its norm is one
+        in F_p."""
+        return self.base.legendre(self.norm(x))
+
     def inv(self, x):
         nrm = self.norm(x)
         if nrm == 0:
@@ -221,24 +233,26 @@ class QuadExtCtx:
 
 
 def field_sqrt(ctx, a, rng):
-    """Tonelli-Shanks square root in the field of ctx; None when a is a nonsquare."""
+    """Tonelli-Shanks square root in the field of ctx; None when a is a nonsquare.
+
+    Residuosity is ctx.legendre, which over F_{p^2} is the Legendre symbol of
+    the norm.  With x = a^((t+1)/2), b = a^t is taken as x^2 / a."""
     if ctx.is_zero(a):
         return ctx.zero
-    q = ctx.order
-    if ctx.pow(a, (q - 1) // 2) != ctx.one:
+    if ctx.legendre(a) != 1:
         return None
-    t, s = q - 1, 0
+    t, s = ctx.order - 1, 0
     while t % 2 == 0:
         t //= 2
         s += 1
     # find a nonresidue of the full field
     while True:
         z = ctx.random(rng)
-        if not ctx.is_zero(z) and ctx.pow(z, (q - 1) // 2) != ctx.one:
+        if ctx.legendre(z) == -1:
             break
     c = ctx.pow(z, t)
     x = ctx.pow(a, (t + 1) // 2)
-    b = ctx.pow(a, t)
+    b = ctx.mul(ctx.mul(x, x), ctx.inv(a))
     m = s
     while b != ctx.one:
         # find least i with b^(2^i) = 1
@@ -293,10 +307,17 @@ def poly_roots(f, ctx, rng):
 _NTT_PRIMES = ((998244353, 3), (1004535809, 3))
 _CRT_P1, _CRT_P2 = _NTT_PRIMES[0][0], _NTT_PRIMES[1][0]
 _CRT_P1_INV = pow(_CRT_P1, -1, _CRT_P2)
-# schoolbook np.convolve beats the two-prime NTT up to about 3500 terms at
-# nu = 999983 (2-core x86, numpy 2.4: 5.7-8.8 ms against 10.6 ms at 3072
-# terms, 10.5-16.1 ms against 9.5-10.9 ms at 4096)
-NTT_CROSSOVER = 3072
+# Below NTT_CROSSOVER terms in the shorter factor, products are schoolbook
+# np.convolve; above it, the two-prime NTT.  In float64 the schoolbook product
+# beats the NTT up to about 12000 terms at nu = 999983 (2-core x86, numpy 2.4:
+# 16.6 against 23.5 ms at 8192 terms, 44 against 45 ms at 12288), but its
+# exactness bound ends at 9007 terms there, and 8192 is the last power of two
+# below that.
+NTT_CROSSOVER = 8192
+# int64 np.convolve beats converting to float64 below this many terms in the
+# shorter factor (about 10 against 11 us at 64 x 64, 25 against 19 us at
+# 64 x 300 on the same machine)
+FLOAT_CUTOFF = 64
 
 _root_cache: dict[tuple[int, int], np.ndarray] = {}
 _bitrev_cache: dict[int, np.ndarray] = {}
@@ -357,15 +378,48 @@ def npoly_trim(a: np.ndarray) -> np.ndarray:
     return a[: nz[-1] + 1]
 
 
+def _float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve(a, b) in float64, returned as int64.  Exact when
+    min(len a, len b) * max|a| * max|b| < 2^53: every partial sum is then an
+    integer below 2^53, so no order of summation, with or without FMA, can
+    round."""
+    return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+
+
+def _limb_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Schoolbook product mod m <= 2^30 for lengths below 2^21, with each
+    entry split into 15-bit limbs, lo + 2^15 hi.  Three float64 products
+    (Karatsuba) of limbs below 2^15, and of limb sums below 2^16, stay below
+    2^21 * 2^32 = 2^53, so each is exact."""
+    a, b = a % m, b % m
+    a_lo, a_hi, b_lo, b_hi = a & 0x7FFF, a >> 15, b & 0x7FFF, b >> 15
+    lo = _float_convolve(a_lo, b_lo)
+    hi = _float_convolve(a_hi, b_hi)
+    mid = _float_convolve(a_lo + a_hi, b_lo + b_hi) - lo - hi
+    return (lo % m + (mid % m << 15) % m + hi % m * (2**30 % m)) % m
+
+
 def npoly_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Product of two coefficient arrays mod m, quasi-linear above the crossover."""
+    """Product of two coefficient arrays mod m, for entries of absolute value
+    below m <= MAX_MODULUS.
+
+    Up to NTT_CROSSOVER terms in the shorter factor it is schoolbook: int64
+    np.convolve below FLOAT_CUTOFF terms while the sums fit in int64,
+    float64 while min(len a, len b) * (m - 1)^2 < 2^53 (up to 9007 terms at
+    nu = 999983), and 15-bit limbs otherwise.  Above the crossover it is the
+    two-prime NTT with CRT, which raises ModulusError past its capacity."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros(0, dtype=np.int64)
-    out_len = len(a) + len(b) - 1
-    if min(len(a), len(b)) <= NTT_CROSSOVER:
-        if out_len * (m - 1) * (m - 1) < 2**62:
+    if m > MAX_MODULUS:
+        raise ModulusError(f"modulus {m} exceeds word-size threshold {MAX_MODULUS}")
+    short = min(len(a), len(b))
+    if short <= NTT_CROSSOVER:
+        if short < FLOAT_CUTOFF and short <= _int64_terms(m):
             return np.convolve(a, b) % m
-        # rare huge-modulus schoolbook: fall through to NTT
+        if short * (m - 1) ** 2 < 2**53:
+            return _float_convolve(a, b) % m
+        return _limb_mul(a, b, m)
+    out_len = len(a) + len(b) - 1
     size = 1
     while size < out_len:
         size *= 2
@@ -603,23 +657,37 @@ def npoly_distinct_degree(f: np.ndarray, m: int,
     the factors of higher degree are dropped.
 
     h_d = x^(m^d) is iterated mod the input f by one context's `frobenius`;
-    it is reduced mod the shrinking f only inside the gcd with h_d - x."""
+    it is reduced mod the shrinking f only inside the gcd with h_d - x.
+
+    With max_degree = D < deg f, one gcd first cuts f down to f_low =
+    gcd(prod_{d <= D} (h_d - x) mod f, f).  An irreducible g of degree e
+    divides h_d - x exactly when e | d, so g divides the product exactly
+    when e <= D; f is squarefree, so f_low is the product of the irreducible
+    factors of f of degree <= D.  The uncapped loop on f_low, which reuses
+    those h_d, then returns the same monic products, for the same d, in the
+    same order as the capped loop on f would.  It ends by d = D, once every
+    factor of degree <= D is split off."""
     f = _npoly_monic(np.asarray(f, dtype=np.int64) % m, m)
     if len(f) < 2:
         return []
-    out = []
-    d = 0
     ctx = NPolyModCtx(f, m)
     h = np.array([0, 1], dtype=np.int64)
+    low = []  # h_1 .. h_D when capped
+    if max_degree is not None and max_degree < len(f) - 1:
+        prod = np.ones(1, dtype=np.int64)
+        for _ in range(max_degree):
+            h = ctx.frobenius(h)
+            low.append(h)
+            prod = ctx.mulmod(prod, _minus_x(h, m))
+        f = npoly_gcd(prod, f, m)
+    out = []
+    d = 0
     while len(f) - 1 > 0:
         d += 1
-        if max_degree is not None and d > max_degree:
-            break
         if len(f) - 1 < 2 * d:
-            if max_degree is None or len(f) - 1 <= max_degree:
-                out.append((f, len(f) - 1))
+            out.append((f, len(f) - 1))
             break
-        h = ctx.frobenius(h)
+        h = low[d - 1] if low else ctx.frobenius(h)
         g = npoly_gcd(_minus_x(h, m), f, m)
         if len(g) > 1:
             out.append((g, d))

@@ -356,8 +356,15 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
     if best is None:
         raise CharpolyFailure(f"no probe ran at nu={nu} (budget {budget})")
     # a probe can return a proper divisor of the minimal polynomial without
-    # detecting it; everything downstream assumes mu(M) = 0, so check it
-    if not annihilates(best, m, nu, rng, params.verify_vectors):
+    # detecting it; everything downstream assumes mu(M) = 0, so check it.
+    # At full degree no check is needed.  Each probe's generator divides the
+    # minimal polynomial of M + kI, so best, their lcm shifted back, divides
+    # the minimal polynomial of M and so the charpoly.  A monic divisor of
+    # the charpoly of degree n is the charpoly, and chi(M) = 0 (Cayley-
+    # Hamilton).  The check's draw is still made, so later draws do not move.
+    if len(best) - 1 == n:
+        rng.integers(0, nu, (params.verify_vectors, n))
+    elif not annihilates(best, m, nu, rng, params.verify_vectors):
         raise CharpolyFailure(f"candidate of degree {len(best) - 1} is not the "
                               f"minimal polynomial at nu={nu}")
     return best, traces

@@ -548,6 +548,58 @@ def _divide_monic_mod(f: list[int], g: list[int], nu: int) -> tuple[list[int], b
     return q, not any(f[: len(g) - 1])
 
 
+def field_sqrt_ref(ctx, a, rng):
+    """Tonelli-Shanks with every residuosity test by Euler's criterion in the
+    full field and b = a^t by its own pow: gf.field_sqrt as it was before it
+    took Legendre symbols of norms."""
+    if ctx.is_zero(a):
+        return ctx.zero
+    q = ctx.order
+    if ctx.pow(a, (q - 1) // 2) != ctx.one:
+        return None
+    t, s = q - 1, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    while True:
+        z = ctx.random(rng)
+        if not ctx.is_zero(z) and ctx.pow(z, (q - 1) // 2) != ctx.one:
+            break
+    c = ctx.pow(z, t)
+    x = ctx.pow(a, (t + 1) // 2)
+    b = ctx.pow(a, t)
+    m = s
+    while b != ctx.one:
+        i, b2 = 0, b
+        while b2 != ctx.one:
+            b2 = ctx.mul(b2, b2)
+            i += 1
+        e = ctx.pow(c, 1 << (m - i - 1))
+        x = ctx.mul(x, e)
+        c = ctx.mul(e, e)
+        b = ctx.mul(b, c)
+        m = i
+    return x
+
+
+def npoly_mul_kronecker(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Exact product mod m by Kronecker substitution: pack the entries, taken
+    in [0, m), into Python integers at x = 2^k with k wide enough for every
+    coefficient of the product, multiply once, and unpack."""
+    a, b = np.asarray(a, dtype=np.int64) % m, np.asarray(b, dtype=np.int64) % m
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(0, dtype=np.int64)
+    nbytes = (min(len(a), len(b)) * (m - 1) ** 2).bit_length() // 8 + 1
+
+    def pack(v):
+        return int.from_bytes(b"".join(int(c).to_bytes(nbytes, "little") for c in v), "little")
+
+    out_len = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b)).to_bytes(out_len * nbytes, "little")
+    return np.array([int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") % m
+                     for i in range(out_len)], dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Factoring over F_m with one full powmod per Frobenius step: the
 # distinct-degree, equal-degree and Rabin routines gf had before its

@@ -62,6 +62,26 @@ def test_field_sqrt(rng):
                 assert K.pow(a, (K.order - 1) // 2) != K.one
 
 
+def test_field_sqrt_matches_oracle_and_its_draws():
+    # 7001 = 1 mod 8, so its Tonelli-Shanks loop runs more than once; p^2 - 1
+    # is divisible by 8 for every odd p
+    for p in (7, 13, 7001, 999983):
+        F = gf.PrimeFieldCtx(p)
+        K = gf.QuadExtCtx(F)
+        pick = np.random.default_rng(p)
+        for ctx in (F, K):
+            r_got, r_want = np.random.default_rng(p), np.random.default_rng(p)
+            for k in range(60):
+                x = ctx.random(pick)
+                a = ctx.mul(x, x) if k % 2 else x  # squares and random elements
+                if k == 0:
+                    a = ctx.zero
+                assert gf.field_sqrt(ctx, a, r_got) == oracles.field_sqrt_ref(ctx, a, r_want)
+                assert r_got.bit_generator.state == r_want.bit_generator.state
+                euler = ctx.pow(a, (ctx.order - 1) // 2)
+                assert ctx.legendre(a) == (0 if ctx.is_zero(a) else 1 if euler == ctx.one else -1)
+
+
 # The generic tuple layer (any degree, any field context) is a test oracle
 # now; the tests below check the oracle, and `gf.poly_roots` on quadratics.
 
@@ -169,8 +189,9 @@ def test_roots_count_and_eval(rng):
 
 
 def test_npoly_mul_matches_convolution(rng, monkeypatch):
-    # (3100, 3200) is above NTT_CROSSOVER; with the crossover lowered to 8
-    # the shorter products go through the NTT and the CRT too
+    # with the crossover lowered to 8 the longer products go through the NTT
+    # and the CRT too; test_npoly_mul_on_both_sides_of_each_cut_off covers
+    # the NTT above the real crossover
     m = 999983
     for la, lb in [(1, 1), (5, 40), (40, 40), (200, 311), (1025, 700), (3100, 3200)]:
         a = np.array(rng.integers(0, m, la), dtype=np.int64)
@@ -182,6 +203,43 @@ def test_npoly_mul_matches_convolution(rng, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(gf, "NTT_CROSSOVER", 8)
             assert (gf.npoly_mul(a, b, m) == want).all()
+
+
+@pytest.mark.parametrize("length", [5, 64, 300, 3000])
+def test_npoly_mul_exact_at_the_largest_modulus(rng, length):
+    m = 2**30 - 35
+    a = np.array(rng.integers(0, m, length), dtype=np.int64)
+    for b in (np.array(rng.integers(0, m, length), dtype=np.int64), a[:4], a[:9]):
+        want = np.array(np.convolve(a.astype(object), b.astype(object)) % m, dtype=np.int64)
+        assert gf.npoly_mul(a, b, m).tolist() == want.tolist()
+        assert gf.npoly_mul(b - m, a, m).tolist() == want.tolist()  # entries in (-m, 0]
+
+
+def test_npoly_mul_on_both_sides_of_each_cut_off(rng, monkeypatch):
+    # (m, length of the shorter factor, the path it must take); the float
+    # bound ends at 9007 terms at 999983, which only a raised crossover reaches
+    small, big = 999983, 2**30 - 35
+    cut, ntt, word = gf.FLOAT_CUTOFF, gf.NTT_CROSSOVER, gf._int64_terms(big)
+    cases = [(small, cut - 1, "int64"), (small, cut, "float"),
+             (big, word, "int64"), (big, word + 1, "limbs"),
+             (small, ntt, "float"), (small, ntt + 1, "ntt"), (big, ntt, "limbs"),
+             (small, 9007, "float", 9100), (small, 9008, "limbs", 9100)]
+    for m, short, path, *crossover in cases:
+        taken = []
+        with monkeypatch.context() as mp:
+            for name, label in (("_float_convolve", "float"), ("_limb_mul", "limbs"),
+                                ("_ntt", "ntt")):
+                def spy(*args, _f=getattr(gf, name), _label=label):
+                    taken.append(_label)
+                    return _f(*args)
+                mp.setattr(gf, name, spy)
+            if crossover:
+                mp.setattr(gf, "NTT_CROSSOVER", crossover[0])
+            a = np.array(rng.integers(0, m, short), dtype=np.int64)
+            b = np.array(rng.integers(0, m, short + 37), dtype=np.int64)
+            got = gf.npoly_mul(a, b, m)
+        assert got.tolist() == oracles.npoly_mul_kronecker(a, b, m).tolist(), (m, short)
+        assert (taken[0] if taken else "int64") == path, (m, short)
 
 
 def test_npoly_divrem_and_modctx(rng):
@@ -271,9 +329,10 @@ def _product(polys, m):
 def test_frobenius_matches_powmod_on_both_sides_of_the_build(rng):
     # a call costs m.bit_length() + popcount(m) mulmods: 5 at m = 5, 31 at
     # 999983, 58 at 2^30 - 35; Q is built once the calls made cost more than
-    # n = deg f.  Above n = 2 at 2^30 - 35, npoly_mul exceeds its CRT bound.
+    # n = deg f.  At 2^30 - 35 the products go through 15-bit limbs, and Q @ a
+    # through dot_mod's chunks of 8 terms.
     for m, degrees in ((5, (1, 2, 12)), (7, (3, 20)), (101, (5, 40)),
-                       (999983, (2, 30, 70)), (2**30 - 35, (1, 2))):
+                       (999983, (2, 30, 70)), (2**30 - 35, (1, 2, 12, 130))):
         cost = m.bit_length() + bin(m).count("1")
         for n in degrees:
             ctx = gf.NPolyModCtx(_monic_random(rng, n, m), m)
@@ -301,6 +360,30 @@ def test_distinct_degree_matches_oracle(rng):
             want = oracles.distinct_degree_ref(f, m, max_degree=cap)
             assert [(g.tolist(), d) for g, d in got] == [(g.tolist(), d) for g, d in want]
         assert sorted(d for _, d in gf.npoly_distinct_degree(f, m)) == sorted(set(degrees))
+
+
+def test_capped_distinct_degree_takes_one_full_gcd(rng, monkeypatch):
+    # degrees of the irreducible factors of f, against the cap D = 6: no
+    # factor <= D; one factor <= D, which the loop on f_low returns by its
+    # deg f < 2d exit; deg f < 2D + 2; and a mix
+    m, cap = 999983, 6
+    gcd = gf.npoly_gcd
+    for degrees in ((7, 9), (8, 13), (3, 8, 10), (5, 7), (1, 12), (2, 9), (6, 7),
+                    (1, 2, 2, 5, 7, 11)):
+        parts = []
+        for d in degrees:
+            parts.append(_irreducible(rng, d, m, [g.tolist() for g in parts]))
+        f = _product(parts, m)
+        full = []
+        with monkeypatch.context() as mp:
+            mp.setattr(gf, "npoly_gcd", lambda a, b, m: (full.append(len(b) == len(f)),
+                                                          gcd(a, b, m))[1])
+            got = gf.npoly_distinct_degree(f, m, max_degree=cap)
+        want = oracles.distinct_degree_ref(f, m, max_degree=cap)
+        assert [(g.tolist(), d) for g, d in got] == [(g.tolist(), d) for g, d in want]
+        assert sum(full) == 1, degrees
+        low = sorted({d for d in degrees if d <= cap})
+        assert [d for _, d in got] == low
 
 
 def test_equal_degree_split_matches_oracle_and_its_draws(rng):

@@ -145,7 +145,10 @@ def test_dot_mod_chunks_stay_exact(rng):
 
 def _same_wiedemann(M, params, seed, nu, budget):
     """Package and no-skip oracle at one seed: the same best, traces and
-    CharpolyFailure, and the same draws left in the generator."""
+    CharpolyFailure, and the same draws left in the generator.  The oracle
+    runs the `annihilates` check at every degree, the package only below full
+    degree, so a full-degree best (counted in stats["full_degree"]) passes
+    the check it skips."""
     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
     stats = {}
     try:
@@ -160,13 +163,14 @@ def _same_wiedemann(M, params, seed, nu, budget):
     if got is not None:
         assert got[0].tolist() == want[0].tolist()
         assert [t.seq.tolist() for t in got[1]] == [t.seq.tolist() for t in want[1]]
-    assert r1.integers(0, 2**62) == r2.integers(0, 2**62)
+    assert r1.bit_generator.state == r2.bit_generator.state
+    stats["full_degree"] = got is not None and len(got[0]) - 1 == M.n
     return stats
 
 
 def test_wiedemann_skip_matches_all_columns_on_random_matrices(rng):
     params = linalg.WiedemannParams()
-    ran_extra = skipped = 0
+    ran_extra = skipped = full = 0
     for t in range(40):
         M = linalg.SparseSignedMatrix.from_dense(random_sparse_matrix(rng, nmax=40))
         nu = (7, 13, 101, 999983)[t % 4]
@@ -174,21 +178,25 @@ def test_wiedemann_skip_matches_all_columns_on_random_matrices(rng):
         skipped += stats["bm_skipped"]
         # main-coordinate runs are one per probe; the rest ran on extra columns
         ran_extra += stats["bm_runs"] > 2
+        full += stats["full_degree"]
     assert skipped and ran_extra
+    assert 0 < full < 40  # both sides of the full-degree skip
 
 
 def test_wiedemann_skip_matches_all_columns_on_hecke_blocks():
     from ssforms import pipeline
 
     params = linalg.WiedemannParams()
-    skipped = 0
+    skipped = full = 0
     for p in pipeline._primes_between(5, 300):
         store = pipeline.GraphStore(p, np.random.default_rng(p), None)
         for name in ("minus", "plus"):
             M = store.block(2, name)
             if M.n:
-                skipped += _same_wiedemann(M, params, p, 999983, 2)["bm_skipped"]
-    assert skipped
+                stats = _same_wiedemann(M, params, p, 999983, 2)
+                skipped += stats["bm_skipped"]
+                full += stats["full_degree"]
+    assert skipped and full
 
 
 def test_taylor_shift():

@@ -195,10 +195,16 @@ def test_dilate_and_differentiate():
 
 def test_brent_kung_rejects_overflowing_modulus():
     # p^2 * block size >= 2^62 would overflow the int64 block accumulation;
-    # the check fires before any arithmetic mod p
+    # the check fires before any arithmetic mod p.  17 terms make blocks of
+    # 5, which overflow; 9 terms make blocks of 3, which fit, and the
+    # composition is then exact, its products in 15-bit limbs
     p = 2**30 - 35
-    u = series.PowerSeries(p, 1, np.ones(8, dtype=np.int64), 9)
+    u = series.PowerSeries(p, 1, np.ones(16, dtype=np.int64), 17)
     with pytest.raises(gf.ModulusError):
-        series.brent_kung_compose(np.ones(9, dtype=np.int64), u, 9)
+        series.brent_kung_compose(np.ones(17, dtype=np.int64), u, 17)
+    u9 = series.PowerSeries(p, 1, np.arange(p - 8, p, dtype=np.int64), 9)
+    g = np.arange(p - 9, p, dtype=np.int64)
+    assert series.brent_kung_compose(g, u9, 9).coeff_range(0, 9).tolist() == \
+        series.horner_compose(g, u9, 9).coeff_range(0, 9).tolist()
     with pytest.raises(ValueError):
         series.series_mul(u, series.PowerSeries.one(101, 5))
