@@ -2,13 +2,16 @@
 
 One polynomial layer lives here: numpy int64 coefficient arrays over a
 single-word prime field, used for the long polynomials of the charpoly and
-sieve stages.  `npoly_mul` is schoolbook np.convolve up to NTT_CROSSOVER
-terms, in float64 whenever min(len a, len b) * (m - 1)^2 < 2^53, where every
-partial sum is an integer that float64 holds exactly, in 15-bit limbs when
-that bound fails, and in int64 for short factors.  Above the crossover it is
-quasi-linear: NTT modulo two primes and CRT.  Over F_{p^2} the package only
-ever solves quadratics, in the ell=2 graph walk, and `poly_roots` does that
-with one square root.
+sieve stages.  `npoly_mul` has three exact paths, chosen by the length of
+the shorter factor: int64 np.convolve for short factors while the sums fit
+in int64; float64 np.convolve up to NTT_CROSSOVER terms while
+min(len a, len b) * (m - 1)^2 < 2^53, where every partial sum is an integer
+that float64 holds exactly; and otherwise `_fft_mul`, float64 FFTs of
+10-bit limbs, whose rounding error stays below 1/2 for every modulus up to
+MAX_MODULUS and products of up to 2^21 terms (the bound, and its one
+assumption on numpy's twiddle factors, are in its docstring).  Over F_{p^2}
+the package only ever solves quadratics, in the ell=2 graph walk, and
+`poly_roots` does that with one square root.
 
 The Frobenius a -> a^m mod f is F_m-linear, so `NPolyModCtx.frobenius`
 builds its matrix Q (row i is x^(i*m) mod f) once repeated calls would cost
@@ -24,10 +27,13 @@ extension, meaning a + b*xi with xi^2 = nonresidue).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Single machine-word safety threshold: moduli above this are rejected by the
-# pipeline.  The NTT/CRT product bound is checked separately at multiply time.
+# pipeline.  Every modulus up to it is exact in `npoly_mul` (three 10-bit limbs
+# in `_fft_mul`) and in `dot_mod`.
 MAX_MODULUS = 2**30
 
 
@@ -304,71 +310,18 @@ def poly_roots(f, ctx, rng):
 # numpy-backed polynomials over F_m (single-word prime m), lowest-first int64.
 # ---------------------------------------------------------------------------
 
-_NTT_PRIMES = ((998244353, 3), (1004535809, 3))
-_CRT_P1, _CRT_P2 = _NTT_PRIMES[0][0], _NTT_PRIMES[1][0]
-_CRT_P1_INV = pow(_CRT_P1, -1, _CRT_P2)
-# Below NTT_CROSSOVER terms in the shorter factor, products are schoolbook
-# np.convolve; above it, the two-prime NTT.  In float64 the schoolbook product
-# beats the NTT up to about 12000 terms at nu = 999983 (2-core x86, numpy 2.4:
-# 16.6 against 23.5 ms at 8192 terms, 44 against 45 ms at 12288), but its
-# exactness bound ends at 9007 terms there, and 8192 is the last power of two
-# below that.
-NTT_CROSSOVER = 8192
+# Up to NTT_CROSSOVER terms in the shorter factor, products are schoolbook
+# np.convolve wherever an exact one exists; above it, and where none is
+# exact, they are `_fft_mul`.  (The name is kept from the number-theoretic
+# transform that once took the long products.)  At nu = 999983 (2-core x86,
+# numpy 2.4, equal lengths, best of 30) float64 np.convolve took 0.14 ms
+# against the FFT's 0.24 ms at 1024 terms, 0.31 against 0.40 ms at 1536 and
+# 0.53 against 0.42 ms at 2048.
+NTT_CROSSOVER = 2048
 # int64 np.convolve beats converting to float64 below this many terms in the
 # shorter factor (about 10 against 11 us at 64 x 64, 25 against 19 us at
 # 64 x 300 on the same machine)
 FLOAT_CUTOFF = 64
-
-_root_cache: dict[tuple[int, int], np.ndarray] = {}
-_bitrev_cache: dict[int, np.ndarray] = {}
-
-
-def _ntt_roots(P: int, g: int, length: int, inverse: bool) -> np.ndarray:
-    key = (P, length if not inverse else -length)
-    got = _root_cache.get(key)
-    if got is not None:
-        return got
-    w = pow(g, (P - 1) // length, P)
-    if inverse:
-        w = pow(w, -1, P)
-    roots = np.empty(length // 2, dtype=np.int64)
-    acc = 1
-    for i in range(length // 2):
-        roots[i] = acc
-        acc = acc * w % P
-    _root_cache[key] = roots
-    return roots
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    rev = _bitrev_cache.get(n)
-    if rev is None:
-        idx = np.arange(n)
-        rev = np.zeros(n, dtype=np.int64)
-        bits = n.bit_length() - 1
-        for b in range(bits):
-            rev |= ((idx >> b) & 1) << (bits - 1 - b)
-        _bitrev_cache[n] = rev
-    return rev
-
-
-def _ntt(a: np.ndarray, P: int, g: int, inverse: bool) -> np.ndarray:
-    n = len(a)
-    a = a[_bit_reversal(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        roots = _ntt_roots(P, g, size, inverse)
-        blocks = a.reshape(-1, size)
-        u = blocks[:, :half].copy()
-        v = blocks[:, half:] * roots % P
-        blocks[:, :half] = (u + v) % P
-        blocks[:, half:] = (u - v) % P
-        a = blocks.reshape(-1)
-        size *= 2
-    if inverse:
-        a = a * pow(n, -1, P) % P
-    return a
 
 
 def npoly_trim(a: np.ndarray) -> np.ndarray:
@@ -386,28 +339,58 @@ def _float_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
 
 
-def _limb_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Schoolbook product mod m <= 2^30 for lengths below 2^21, with each
-    entry split into 15-bit limbs, lo + 2^15 hi.  Three float64 products
-    (Karatsuba) of limbs below 2^15, and of limb sums below 2^16, stay below
-    2^21 * 2^32 = 2^53, so each is exact."""
+def _fft_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Exact product mod m <= 2^30 by float64 FFTs of 10-bit limbs.
+
+    Entries, taken in [0, m), split into L limbs a = sum_i A_i 2^(10 i), two
+    for m <= 2^20 and three up to 2^30.  Each limb gets one rfft at a size
+    N = 2^k >= len(a) + len(b) - 1; each limb sum c_s = sum_i A_i B_(s-i) is
+    formed on the spectra, brought back by one irfft and rounded to the
+    nearest integer, and the product is sum_s c_s 2^(10 s) mod m.
+
+    Rounding is exact while each c_s is off by less than 1/2.  For one
+    product of vectors x and y, Percival (2003), with the complex-product
+    constant sqrt(5) eps of Brent, Percival and Zimmermann (2007), bounds the
+    error by ||x|| ||y|| ((1+eps)^(3k) (1+sqrt(5) eps)^(3k+1) (1+beta)^(3k) - 1),
+    with eps = 2^-53 and beta the error of the computed twiddle factors;
+    limbs below 2^10 give ||x|| ||y|| < 2^20 N.  A c_s sums at most three
+    products on the spectra, which adds two roundings, (1+eps)^2, to each.
+    The assumption: numpy's real transforms obey this radix-2 bound with
+    beta <= 2^-51, that is each twiddle within four units of roundoff (pocketfft
+    forms it from two double-precision sin/cos table entries).  Three times
+    the bound is then 0.34 at N = 2^21 and 0.70 at N = 2^22, so a product of
+    more than 2^21 terms raises ModulusError before any transform."""
+    out_len = len(a) + len(b) - 1
+    k = (out_len - 1).bit_length()
+    eps, beta = 2.0**-53, 2.0**-51
+    err = 3 * 2**20 * 2**k * math.expm1((3 * k + 2) * math.log1p(eps)
+                                       + (3 * k + 1) * math.log1p(math.sqrt(5) * eps)
+                                       + 3 * k * math.log1p(beta))
+    if err >= 0.5:
+        raise ModulusError(f"a product of {out_len} terms exceeds the FFT exactness bound")
+    size, limbs = 1 << k, 2 if m <= 2**20 else 3
     a, b = a % m, b % m
-    a_lo, a_hi, b_lo, b_hi = a & 0x7FFF, a >> 15, b & 0x7FFF, b >> 15
-    lo = _float_convolve(a_lo, b_lo)
-    hi = _float_convolve(a_hi, b_hi)
-    mid = _float_convolve(a_lo + a_hi, b_lo + b_hi) - lo - hi
-    return (lo % m + (mid % m << 15) % m + hi % m * (2**30 % m)) % m
+    fa = [np.fft.rfft((a >> 10 * i) & 1023, size) for i in range(limbs)]
+    fb = [np.fft.rfft((b >> 10 * i) & 1023, size) for i in range(limbs)]
+    out = np.zeros(out_len, dtype=np.int64)
+    for s in range(2 * limbs - 1):
+        terms = range(max(0, s - limbs + 1), min(s, limbs - 1) + 1)
+        spectrum = sum(fa[i] * fb[s - i] for i in terms)
+        c = np.rint(np.fft.irfft(spectrum, size)[:out_len]).astype(np.int64)
+        out += c % m * pow(2, 10 * s, m) % m
+    return out % m
 
 
 def npoly_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two coefficient arrays mod m, for entries of absolute value
     below m <= MAX_MODULUS.
 
-    Up to NTT_CROSSOVER terms in the shorter factor it is schoolbook: int64
-    np.convolve below FLOAT_CUTOFF terms while the sums fit in int64,
-    float64 while min(len a, len b) * (m - 1)^2 < 2^53 (up to 9007 terms at
-    nu = 999983), and 15-bit limbs otherwise.  Above the crossover it is the
-    two-prime NTT with CRT, which raises ModulusError past its capacity."""
+    Three paths, by the length `short` of the shorter factor: int64
+    np.convolve below FLOAT_CUTOFF terms while the sums fit in int64; float64
+    np.convolve while short <= NTT_CROSSOVER and short * (m - 1)^2 < 2^53
+    (every partial sum is then an integer below 2^53); `_fft_mul` otherwise,
+    which is exact for every m up to MAX_MODULUS and raises ModulusError for
+    a product of more than 2^21 terms."""
     if len(a) == 0 or len(b) == 0:
         return np.zeros(0, dtype=np.int64)
     if m > MAX_MODULUS:
@@ -418,27 +401,7 @@ def npoly_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
             return np.convolve(a, b) % m
         if short * (m - 1) ** 2 < 2**53:
             return _float_convolve(a, b) % m
-        return _limb_mul(a, b, m)
-    out_len = len(a) + len(b) - 1
-    size = 1
-    while size < out_len:
-        size *= 2
-    if size * (m - 1) * (m - 1) >= _CRT_P1 * _CRT_P2:
-        raise ModulusError("product exceeds 2-prime CRT capacity")
-    res = []
-    for P, g in _NTT_PRIMES:
-        fa = np.zeros(size, dtype=np.int64)
-        fb = np.zeros(size, dtype=np.int64)
-        fa[: len(a)] = a % P
-        fb[: len(b)] = b % P
-        ta = _ntt(fa, P, g, False)
-        tb = _ntt(fb, P, g, False)
-        res.append(_ntt(ta * tb % P, P, g, True))
-    r1, r2 = res
-    # CRT: x = r1 + P1 * ((r2 - r1) * P1^-1 mod P2), then reduce mod m
-    t = (r2 - r1) * _CRT_P1_INV % _CRT_P2
-    x = (r1 % m + (_CRT_P1 % m) * (t % m)) % m
-    return x[:out_len]
+    return _fft_mul(a, b, m)
 
 
 def _rem_in_place(a: np.ndarray, b: np.ndarray, m: int,

@@ -112,12 +112,6 @@ class SparseSignedMatrix:
         return int(self._csr.multiply(self._csr.T).sum())
 
 
-def matvec(m: SparseSignedMatrix, v: np.ndarray, nu: int) -> np.ndarray:
-    if len(v) != m.n:
-        raise ValueError("dimension mismatch")
-    return m.matvec_mod(np.asarray(v, dtype=np.int64) % nu, nu)
-
-
 def berlekamp_massey(seq, nu: int) -> np.ndarray:
     """Monic minimal-length recurrence polynomial of a scalar sequence mod nu.
 

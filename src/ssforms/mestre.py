@@ -127,7 +127,7 @@ def unfold(u_vec, block: str, sset, orbit_pairs) -> list[series.RationalFunction
 
 def mestre_rhs(u_vec, block: str, sset, orbit_pairs, j: series.PowerSeries,
                jp: series.PowerSeries, absprec: int,
-               use_horner: bool = False, expect_cuspidal: bool = True) -> series.PowerSeries:
+               expect_cuspidal: bool = True) -> series.PowerSeries:
     """psi(q) with psi dq/q = sum_s v_s dj/(j(q) - j_s), an F_p series.
 
     Cuspidal inputs (anything killed by a Weil-admissible polynomial in T_2)
@@ -139,7 +139,7 @@ def mestre_rhs(u_vec, block: str, sset, orbit_pairs, j: series.PowerSeries,
     if not leaves:
         return series.PowerSeries.zero(p, absprec)
     r = series.rational_sum_tree(leaves)
-    s = series.compose_with_reciprocal_j(r, j, absprec + 2, use_horner=use_horner)
+    s = series.compose_with_reciprocal_j(r, j, absprec + 2)
     psi = series.series_mul(s, jp, absprec + 1).shift(1).truncate(absprec)
     if expect_cuspidal and not psi.is_zero() and psi.val < 1:
         raise MestreError("Mestre series has a pole; unfolding is inconsistent")

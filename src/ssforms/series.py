@@ -4,7 +4,9 @@ Series are truncated Laurent series in q: a valuation offset (possibly -1,
 for the j-function), a dense int64 coefficient array, and an absolute
 precision `absprec` meaning coefficients are known for every exponent
 < absprec.  Arithmetic never claims precision beyond what the inputs
-justify.  Multiplication goes through the NTT layer in `gf`.
+justify.  Products and Newton inverses are `gf.npoly_mul` and
+`gf.npoly_series_inv`: exact schoolbook convolutions for short factors and
+an exact float64 FFT for long ones.
 """
 
 from __future__ import annotations
@@ -149,16 +151,7 @@ def series_inv(a: PowerSeries, absprec: int) -> PowerSeries:
         return PowerSeries.zero(a.p, absprec)
     if a.absprec - a.val < n:
         raise PrecisionError("not enough known coefficients for requested inverse")
-    u = a.coeffs[:n].copy()
-    inv0 = pow(int(u[0]), -1, a.p)
-    x = np.array([inv0], dtype=np.int64)
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        ax = gf.npoly_mul(u[:k], x, a.p)[:k]
-        ax = (-ax) % a.p
-        ax[0] = (ax[0] + 2) % a.p
-        x = gf.npoly_mul(x, ax, a.p)[:k]
+    x = gf.npoly_series_inv(a.coeffs[:n], n, a.p)
     return PowerSeries(a.p, -a.val, x, absprec)
 
 
@@ -336,24 +329,10 @@ def brent_kung_compose(gcoeffs: np.ndarray, u: PowerSeries, absprec: int) -> Pow
     return PowerSeries(p, 0, acc, absprec)
 
 
-def horner_compose(gcoeffs: np.ndarray, u: PowerSeries, absprec: int) -> PowerSeries:
-    """Slow oracle for brent_kung_compose."""
-    p = u.p
-    absprec = min(absprec, u.absprec)
-    L = min(len(gcoeffs), absprec)
-    acc = PowerSeries.zero(p, absprec)
-    one = PowerSeries.one(p, absprec)
-    for k in range(L - 1, -1, -1):
-        acc = series_mul(acc, u, absprec)
-        acc = acc + one.scale(int(gcoeffs[k]))
-    return acc
-
-
 def compose_with_reciprocal_j(
     r: RationalFunction,
     j: PowerSeries,
     n: int,
-    use_horner: bool = False,
 ) -> PowerSeries:
     """Evaluate P(j(q))/Q(j(q)) = sum gamma_i/(j(q) - j_i) to absolute precision n.
 
@@ -365,6 +344,4 @@ def compose_with_reciprocal_j(
     u = series_inv(j, n)
     gfull = np.zeros(len(g) + 1, dtype=np.int64)
     gfull[1:] = g  # g starts at the 1/x term
-    if use_horner:
-        return horner_compose(gfull, u, n)
     return brent_kung_compose(gfull, u, n)

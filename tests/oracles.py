@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from sympy import nextprime
 
-from ssforms import gf, ssgraph
+from ssforms import gf, series, ssgraph
 
 # (a1, a2, a3, a4, a6) minimal models of the elliptic curves of prime
 # conductor for the golden levels; discriminants are verified to be
@@ -598,6 +598,27 @@ def npoly_mul_kronecker(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     raw = (pack(a) * pack(b)).to_bytes(out_len * nbytes, "little")
     return np.array([int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") % m
                      for i in range(out_len)], dtype=np.int64)
+
+
+def horner_compose(gcoeffs: np.ndarray, u: "series.PowerSeries", absprec: int):
+    """sum_k g[k] u(q)^k by Horner's rule, one series product per term: the
+    slow oracle for series.brent_kung_compose."""
+    p = u.p
+    absprec = min(absprec, u.absprec)
+    L = min(len(gcoeffs), absprec)
+    acc = series.PowerSeries.zero(p, absprec)
+    one = series.PowerSeries.one(p, absprec)
+    for k in range(L - 1, -1, -1):
+        acc = series.series_mul(acc, u, absprec)
+        acc = acc + one.scale(int(gcoeffs[k]))
+    return acc
+
+
+def horner_reciprocal_j(r: "series.RationalFunction", j: "series.PowerSeries", n: int):
+    """series.compose_with_reciprocal_j(r, j, n) with the composition by
+    Horner's rule: the expansion of r in 1/x, composed with u = 1/j(q)."""
+    g = series.reciprocal_expansion(r, n + 2)
+    return horner_compose(np.concatenate([[0], g]), series.series_inv(j, n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,8 @@ def test_roots_count_and_eval(rng):
 
 
 def test_npoly_mul_matches_convolution(rng, monkeypatch):
-    # with the crossover lowered to 8 the longer products go through the NTT
-    # and the CRT too; test_npoly_mul_on_both_sides_of_each_cut_off covers
-    # the NTT above the real crossover
+    # with the crossover lowered to 8 every product of 40 terms or more goes
+    # through _fft_mul; at the real crossover only (3100, 3200) does
     m = 999983
     for la, lb in [(1, 1), (5, 40), (40, 40), (200, 311), (1025, 700), (3100, 3200)]:
         a = np.array(rng.integers(0, m, la), dtype=np.int64)
@@ -219,16 +218,16 @@ def test_npoly_mul_on_both_sides_of_each_cut_off(rng, monkeypatch):
     # (m, length of the shorter factor, the path it must take); the float
     # bound ends at 9007 terms at 999983, which only a raised crossover reaches
     small, big = 999983, 2**30 - 35
-    cut, ntt, word = gf.FLOAT_CUTOFF, gf.NTT_CROSSOVER, gf._int64_terms(big)
+    cut, cross, word = gf.FLOAT_CUTOFF, gf.NTT_CROSSOVER, gf._int64_terms(big)
     cases = [(small, cut - 1, "int64"), (small, cut, "float"),
-             (big, word, "int64"), (big, word + 1, "limbs"),
-             (small, ntt, "float"), (small, ntt + 1, "ntt"), (big, ntt, "limbs"),
-             (small, 9007, "float", 9100), (small, 9008, "limbs", 9100)]
+             (big, word, "int64"), (big, word + 1, "fft"),
+             (small, cross, "float"), (small, cross + 1, "fft"),
+             (big, cross, "fft"), (big, cross + 1, "fft"),
+             (small, 9007, "float", 9100), (small, 9008, "fft", 9100)]
     for m, short, path, *crossover in cases:
         taken = []
         with monkeypatch.context() as mp:
-            for name, label in (("_float_convolve", "float"), ("_limb_mul", "limbs"),
-                                ("_ntt", "ntt")):
+            for name, label in (("_float_convolve", "float"), ("_fft_mul", "fft")):
                 def spy(*args, _f=getattr(gf, name), _label=label):
                     taken.append(_label)
                     return _f(*args)
@@ -240,6 +239,38 @@ def test_npoly_mul_on_both_sides_of_each_cut_off(rng, monkeypatch):
             got = gf.npoly_mul(a, b, m)
         assert got.tolist() == oracles.npoly_mul_kronecker(a, b, m).tolist(), (m, short)
         assert (taken[0] if taken else "int64") == path, (m, short)
+
+
+@pytest.mark.parametrize("length", [9000, 16687])
+def test_npoly_mul_above_the_crossover_at_the_largest_modulus(rng, length):
+    # products that the two-prime NTT's CRT bound refused at this modulus
+    m = 2**30 - 35
+    a = np.array(rng.integers(0, m, length), dtype=np.int64)
+    b = np.array(rng.integers(0, m, length), dtype=np.int64)
+    want = oracles.npoly_mul_kronecker(a, b, m)
+    assert gf.npoly_mul(a, b, m).tolist() == want.tolist()
+    assert gf.npoly_mul(a - m, b, m).tolist() == want.tolist()  # entries in (-m, 0]
+    top = np.full(length, m - 1, dtype=np.int64)  # the largest limbs
+    assert gf.npoly_mul(top, top, m).tolist() == oracles.npoly_mul_kronecker(top, top, m).tolist()
+
+
+def test_fft_bound_raises_before_any_transform(monkeypatch):
+    # the exactness bound holds up to 2^21 terms in the product and fails at
+    # the next one, whose transform would need 2^22 points; with rfft made to
+    # raise, reaching the transform and refusing before it tell the two apart
+    class Reached(Exception):
+        pass
+
+    def rfft(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    half, longer = np.zeros(2**20, dtype=np.int64), np.zeros(2**20 + 1, dtype=np.int64)
+    for m in (999983, 2**30 - 35):
+        with pytest.raises(Reached):
+            gf.npoly_mul(longer, half, m)  # 2^21 terms
+        with pytest.raises(gf.ModulusError):
+            gf.npoly_mul(longer, longer, m)  # 2^21 + 1 terms
 
 
 def test_npoly_divrem_and_modctx(rng):
@@ -329,8 +360,8 @@ def _product(polys, m):
 def test_frobenius_matches_powmod_on_both_sides_of_the_build(rng):
     # a call costs m.bit_length() + popcount(m) mulmods: 5 at m = 5, 31 at
     # 999983, 58 at 2^30 - 35; Q is built once the calls made cost more than
-    # n = deg f.  At 2^30 - 35 the products go through 15-bit limbs, and Q @ a
-    # through dot_mod's chunks of 8 terms.
+    # n = deg f.  At 2^30 - 35 the products of more than 8 terms go through
+    # _fft_mul's 10-bit limbs, and Q @ a through dot_mod's chunks of 8 terms.
     for m, degrees in ((5, (1, 2, 12)), (7, (3, 20)), (101, (5, 40)),
                        (999983, (2, 30, 70)), (2**30 - 35, (1, 2, 12, 130))):
         cost = m.bit_length() + bin(m).count("1")
