@@ -558,13 +558,6 @@ def npoly_gcd(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return _npoly_monic(a, m)
 
 
-def npoly_eval(a: np.ndarray, x: int, m: int) -> int:
-    acc = 0
-    for c in a[::-1]:
-        acc = (acc * x + int(c)) % m
-    return acc
-
-
 def npoly_lcm(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     g = npoly_gcd(a, b, m)
     q = npoly_divrem(a, g, m)[0]

@@ -15,14 +15,18 @@ irreducibility).  It is a reference enumerator that no production path
 calls.
 
 Lifting follows the small-entries heuristic: candidate integer lifts of
-F_nu-kernel data are checked exactly over Z.
+F_nu-kernel data are checked exactly over Z.  ``separate_orbits`` splits a
+lifted kernel by the irreducible factors h of its separating operator's
+charpoly; a ``GaloisOrbit`` is then just its integer basis, h and the prime
+sep_ell of the separating operator T_sep, all that ``mestre.eigenvalue_of``
+needs to read exact eigenvalues off it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -676,7 +680,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
                 continue
             if not _in_integer_kernel(m2, rho_int, w):
                 continue
-            if _fraction_rank_add(found_rref, w):
+            if numfield.fraction_rank_add(found_rref, w):
                 found.append(w)
                 if len(found) == mdim:
                     basis = np.array(found, dtype=object).T
@@ -692,22 +696,6 @@ def _in_integer_kernel(m2: SparseSignedMatrix, rho: list, w: np.ndarray) -> bool
     for c in rho[-2::-1]:
         acc = m2.matvec_exact(acc) + c * w
     return not np.asarray(acc).any()
-
-
-def _fraction_rank_add(rref_rows: list, w: np.ndarray) -> bool:
-    """Incremental exact RREF; returns True when w enlarges the span."""
-    row = [Fraction(int(x)) for x in w]
-    for pivot_col, prow in rref_rows:
-        c = row[pivot_col]
-        if c:
-            row = [x - c * y for x, y in zip(row, prow)]
-    for i, x in enumerate(row):
-        if x != 0:
-            inv = Fraction(1) / x
-            row = [y * inv for y in row]
-            rref_rows.append((i, row))
-            return True
-    return False
 
 
 def _action_matrix(t_mat: SparseSignedMatrix, basis: np.ndarray, mdim: int) -> list:
@@ -737,7 +725,7 @@ def _solve_action(t_mat: SparseSignedMatrix, basis_cols: list):
     sel = []
     rref: list = []
     for i in range(n):
-        if _fraction_rank_add(rref, np.array([bmat[i][j] for j in range(mdim)], dtype=object)):
+        if numfield.fraction_rank_add(rref, bmat[i]):
             sel.append(i)
         if len(sel) == mdim:
             break
@@ -810,9 +798,7 @@ class GaloisOrbit:
     dim: int
     field_poly: tuple              # minimal polynomial of the separating a_ell
     basis: list                    # integer eigenbasis vectors (ambient coords)
-    eigenvector: list              # one simultaneous eigenvector over the field
     sep_ell: int
-    field: object = None           # numfield.NumberField (None for dim 1)
 
 
 def factor_real_rooted(poly: list) -> list[list[int]]:
@@ -843,7 +829,14 @@ def factor_real_rooted(poly: list) -> list[list[int]]:
 
 def separate_orbits(lift: HighDimLift, level: int, block: str) -> list[GaloisOrbit]:
     """Split the integer kernel basis into per-orbit eigenbases using the
-    factorization of the separating action's characteristic polynomial."""
+    factorization of the separating action's characteristic polynomial.
+
+    Each irreducible factor h of chi_S gives the orbit basis B: a primitive
+    integer basis of ker h(T_s) inside the lifted kernel.  T_s acts on
+    span(B) with the irreducible charpoly h, so span(B) is one Galois orbit
+    of eigenvectors, and every Hecke operator commuting with T_s acts on it
+    as a polynomial in T_s (see ``mestre.eigenvalue_of``).  Dimension 1 is
+    no special case."""
     s = lift.s_matrix
     mdim = len(s)
     chi_s = numfield.rational_charpoly(s)
@@ -851,46 +844,20 @@ def separate_orbits(lift: HighDimLift, level: int, block: str) -> list[GaloisOrb
     g = _poly_gcd_fraction(chi_s, der)
     if len(g) != 1:
         raise ArithmeticError("chi_S is not squarefree; separating ell failed")
-    factors = factor_real_rooted(chi_s)
     orbits = []
-    for h in sorted(factors):
+    for h in sorted(factor_real_rooted(chi_s)):
         dh = len(h) - 1
         # integer kernel basis of h(S)
-        hs = _int_poly_of_matrix(s, h)
-        kb = numfield.kernel_basis(None, [[Fraction(x) for x in row] for row in hs], mdim)
+        kb = numfield.kernel_basis(_int_poly_of_matrix(s, h), mdim)
         if len(kb) != dh:
             raise ArithmeticError("kernel dimension mismatch")
-        kb_int = [_primitive_int(v) for v in kb]
         basis_vecs = []
-        for v in kb_int:
-            w = _combine_int(lift.basis, v)
+        for v in kb:
+            w = _combine_int(lift.basis, _primitive_int(v))
             gcd = int(np.gcd.reduce([abs(int(x)) for x in w if x != 0]))
             basis_vecs.append([int(x) // gcd for x in w])
-        if dh == 1:
-            a_ell = -h[0]
-            eig = [[Fraction(int(x))] for x in basis_vecs[0]]
-            orbits.append(GaloisOrbit(level, block, lift.rho, lift.multiplicity,
-                                      1, tuple(h), basis_vecs, eig, lift.sep_ell, None))
-            continue
-        field = numfield.NumberField(h)
-        theta = field.gen
-        mat = [[field.elt([s[i][j]]) for j in range(mdim)] for i in range(mdim)]
-        for i in range(mdim):
-            mat[i][i] = field.sub(mat[i][i], theta)
-        xs = numfield.kernel_basis(field, mat, mdim)
-        if not xs:
-            raise ArithmeticError("no eigenvector over the Hecke field")
-        x = xs[0]
-        # clear denominators to integer-coefficient field elements
-        e = []
-        for i in range(lift.basis.shape[0]):
-            acc = field.zero
-            for j in range(mdim):
-                acc = field.add(acc, field.scale(x[j], int(lift.basis[i, j])))
-            e.append(list(acc))
-        e = _clear_field_vector(e)
         orbits.append(GaloisOrbit(level, block, lift.rho, lift.multiplicity,
-                                  dh, tuple(h), basis_vecs, e, lift.sep_ell, field))
+                                  dh, tuple(h), basis_vecs, lift.sep_ell))
     return orbits
 
 
@@ -923,20 +890,3 @@ def _primitive_int(v: list) -> list:
 def _combine_int(basis: np.ndarray, coeffs: list) -> list:
     n = basis.shape[0]
     return [sum(int(basis[i, j]) * coeffs[j] for j in range(len(coeffs))) for i in range(n)]
-
-
-def _clear_field_vector(e: list) -> list:
-    from math import gcd, lcm
-
-    den = 1
-    for comp in e:
-        for x in comp:
-            den = lcm(den, Fraction(x).denominator)
-    out = [[Fraction(x) * den for x in comp] for comp in e]
-    g = 0
-    for comp in out:
-        for x in comp:
-            g = gcd(g, abs(int(x)))
-    if g > 1:
-        out = [[x / g for x in comp] for comp in out]
-    return out

@@ -7,6 +7,11 @@ trace-zero generator), to an F_p rational-function tree.  Solving the probe
 linear system for beta then expresses every coefficient of the newform in an
 integral basis of the Hecke field mod p, and primes are lifted through the
 Weil bound while composite coefficients come from Hecke multiplicativity.
+
+The exact probe eigenvalues a_ell come from each orbit's integer basis B:
+on span(B), T_ell is a polynomial P in the separating operator, whose
+eigenvalue theta generates the Hecke field, so a_ell = P(theta).  No
+eigenvector with entries in the Hecke field is ever formed.
 """
 
 from __future__ import annotations
@@ -146,30 +151,48 @@ def mestre_rhs(u_vec, block: str, sset, orbit_pairs, j: series.PowerSeries,
     return psi
 
 
-def eigenvalue_of(evec, t_mat: SparseSignedMatrix, fld: numfield.NumberField):
-    """a_ell with T_ell v = a_ell v for an exact Hecke-field eigenvector,
-    asserting consistency at every coordinate."""
+def separating_powers(basis, t_s: SparseSignedMatrix, d: int) -> list[list[np.ndarray]]:
+    """powers[k][j] = T_s^k b_j for k < d and each orbit basis vector b_j:
+    exact, and taken once per orbit for every ``eigenvalue_of`` call."""
+    powers = [[np.asarray(b) for b in basis]]
+    for _ in range(d - 1):
+        powers.append([t_s.matvec_exact(v) for v in powers[-1]])
+    return powers
+
+
+def eigenvalue_of(powers, t_ell: SparseSignedMatrix, fld: numfield.NumberField):
+    """a_ell in K = Q[theta]/(h) for one orbit, from its integer basis B and
+    the powers of its separating operator T_s (``separating_powers``).
+
+    T_s acts on span(B) with the irreducible charpoly h and commutes with
+    T_ell, so on span(B) T_ell = P(T_s) for exactly one P in Q[t] of degree
+    < d, and T_ell acts on the T_s-eigenvector of eigenvalue theta by
+    a_ell = P(theta).  P's coefficients come from the Krylov matrix
+    [w, T_s w, ..., T_s^(d-1) w] of w = B[:, 0] on d rows where it is
+    invertible.  Then T_ell b = P(T_s) b is checked exactly at every
+    coordinate of every basis vector b, which covers all of span(B) and so
+    every eigenvector in it; MestreError when it fails."""
     d = fld.deg
-    cols = []
-    for comp in range(d):
-        cols.append(np.array([int(x[comp]) for x in evec], dtype=object))
-    image = [t_mat.matvec_exact(c) for c in cols]
-    pivot = None
-    for i in range(len(evec)):
-        if any(cols[c][i] for c in range(d)):
-            pivot = i
-            break
-    if pivot is None:
-        raise MestreError("zero eigenvector")
-    vi = fld.elt([Fraction(int(cols[c][pivot])) for c in range(d)])
-    ti = fld.elt([Fraction(int(image[c][pivot])) for c in range(d)])
-    a = fld.mul(ti, fld.inv(vi))
-    for i in range(len(evec)):
-        vi = fld.elt([Fraction(int(cols[c][i])) for c in range(d)])
-        ti = fld.elt([Fraction(int(image[c][i])) for c in range(d)])
-        if fld.mul(a, vi) != ti:
-            raise MestreError("inconsistent eigenvalue ratios across coordinates")
-    return a
+    images = [t_ell.matvec_exact(b) for b in powers[0]]
+    rows, rref = [], []
+    for i in range(len(images[0])):
+        if numfield.fraction_rank_add(rref, [pw[0][i] for pw in powers]):
+            rows.append(i)
+            if len(rows) == d:
+                break
+    else:
+        raise MestreError("Krylov matrix of the orbit basis is singular")
+    c = numfield.solve_fraction(
+        [[Fraction(int(pw[0][i])) for pw in powers] for i in rows],
+        [Fraction(int(images[0][i])) for i in rows])
+    den = math.lcm(*(x.denominator for x in c))
+    num = [int(x * den) for x in c]
+    for j, image in enumerate(images):
+        rhs = sum(ck * np.asarray(pw[j], dtype=object) for ck, pw in zip(num, powers))
+        if (den * np.asarray(image, dtype=object) != rhs).any():
+            raise MestreError("T_ell is not a polynomial in the separating "
+                              f"operator on basis vector {j} of the orbit")
+    return fld.elt(c)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Small exact number-field arithmetic: elements of Q[t]/(h) as Fraction
-coefficient tuples, kernel solves, real embeddings, and integral bases.
+coefficient tuples, linear algebra over Q (kernels, solves, incremental
+rank, the characteristic polynomial), real embeddings, and integral bases.
 
 Degrees here never exceed the orbit-dimension cap, so everything is dense
 and exact; the integral basis comes from sympy's round_two with a light
@@ -16,13 +17,6 @@ from sympy import Poly, symbols, ZZ
 from sympy.polys.numberfields.basis import round_two
 
 _t = symbols("t")
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 class NumberField:
@@ -49,10 +43,6 @@ class NumberField:
     @property
     def one(self):
         return self.elt([1])
-
-    @property
-    def gen(self):
-        return self.elt([0, 1])
 
     def _reduce(self, c):
         c = [Fraction(x) for x in c]
@@ -81,51 +71,6 @@ class NumberField:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return tuple(self._reduce(out) + [Fraction(0)] * 0)[: self.deg] or self.zero
-
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def inv(self, a):
-        # extended Euclid in Q[t] against h
-        r0 = [Fraction(x) for x in self.h]
-        r1 = _trim(a)
-        if not r1:
-            raise ZeroDivisionError("inverse of zero field element")
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            # divide r0 by r1
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            r = [Fraction(x) for x in r0]
-            while len(r) >= len(r1) and _trim(r):
-                if len(r) < len(r1):
-                    break
-                c = r[-1] / r1[-1]
-                k = len(r) - len(r1)
-                q[k] = c
-                for i in range(len(r1)):
-                    r[k + i] -= c * r1[i]
-                r = _trim(r) or [Fraction(0)]
-                if r == [Fraction(0)]:
-                    r = []
-                    break
-            # s_new = s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1))
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs[i + j] += x * y
-            snew = [Fraction(0)] * max(len(s0), len(qs))
-            for i, x in enumerate(s0):
-                snew[i] += x
-            for i, x in enumerate(qs):
-                snew[i] -= x
-            r0, r1 = _trim(r1), _trim(r)
-            s0, s1 = s1, _trim(snew)
-        # r0 is the gcd (a constant for irreducible h)
-        if len(r0) != 1:
-            raise ValueError("defining polynomial is not irreducible")
-        c = r0[0]
-        return self.elt([x / c for x in s0])
 
     def pow(self, a, e: int):
         out = self.one
@@ -156,51 +101,52 @@ class NumberField:
         return out
 
 
-def kernel_basis(field: NumberField | None, mat, dim: int):
-    """Nullspace basis of a square matrix with entries in the field (or Q when
-    field is None).  Returns a list of coordinate vectors."""
-    if field is None:
-        add = lambda a, b: a + b
-        sub = lambda a, b: a - b
-        mul = lambda a, b: a * b
-        inv = lambda a: Fraction(1) / a
-        is_zero = lambda a: a == 0
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        add, sub, mul, inv = field.add, field.sub, field.mul, field.inv
-        is_zero = field.is_zero
-        zero, one = field.zero, field.one
-    a = [list(row) for row in mat]
+def kernel_basis(mat, dim: int):
+    """Nullspace basis of a square matrix over Q, by Gauss-Jordan
+    elimination.  Returns a list of Fraction coordinate vectors."""
+    a = [[Fraction(x) for x in row] for row in mat]
     n = dim
     pivots = {}
     r = 0
     for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not is_zero(a[i][c]):
-                piv = i
-                break
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        s = inv(a[r][c])
-        a[r] = [mul(x, s) for x in a[r]]
+        s = a[r][c]
+        a[r] = [x / s for x in a[r]]
         for i in range(n):
-            if i != r and not is_zero(a[i][c]):
+            if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [sub(x, mul(f, y)) for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots[c] = r
         r += 1
     basis = []
     for c in range(n):
         if c in pivots:
             continue
-        v = [zero] * n
-        v[c] = one
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
         for pc, pr in pivots.items():
-            v[pc] = sub(zero, a[pr][c])
+            v[pc] = -a[pr][c]
         basis.append(v)
     return basis
+
+
+def fraction_rank_add(rref_rows: list, w) -> bool:
+    """Incremental exact RREF; returns True when w enlarges the span."""
+    row = [Fraction(int(x)) for x in w]
+    for pivot_col, prow in rref_rows:
+        c = row[pivot_col]
+        if c:
+            row = [x - c * y for x, y in zip(row, prow)]
+    for i, x in enumerate(row):
+        if x != 0:
+            inv = Fraction(1) / x
+            row = [y * inv for y in row]
+            rref_rows.append((i, row))
+            return True
+    return False
 
 
 def rational_charpoly(mat) -> list:

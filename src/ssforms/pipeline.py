@@ -18,7 +18,6 @@ import logging
 import sys
 import time
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +50,13 @@ class RunConfig:
     lift_config: lift.LiftSearchConfig = dfield(default_factory=lift.LiftSearchConfig)
 
     def validate(self):
-        levels = self.levels()
-        for p in levels:
+        # checked before levels() sieves the range up to its end
+        top = self.level if self.level is not None else self.level_range[1]
+        if top > gf.MAX_MODULUS:
+            raise ConfigError(f"level {top} exceeds the word-size threshold")
+        for p in self.levels():
             if p < 5 or not gf.is_probable_prime(p):
                 raise ConfigError(f"level {p} is not a prime >= 5")
-            if p > gf.MAX_MODULUS:
-                raise ConfigError(f"level {p} exceeds the word-size threshold")
         if not self.nu_list:
             raise ConfigError("need at least one auxiliary modulus")
         for nu in self.nu_list:
@@ -78,11 +78,12 @@ class RunConfig:
 def _primes_between(a: int, b: int) -> list[int]:
     if b < 2:
         return []
+    a = max(a, 2)
     is_comp = np.zeros(b + 1, dtype=bool)
     for q in range(2, int(b**0.5) + 1):
         if not is_comp[q]:
             is_comp[q * q :: q] = True
-    return [n for n in range(max(a, 2), b + 1) if not is_comp[n]]
+    return (np.flatnonzero(~is_comp[a:]) + a).tolist()
 
 
 def sturm_bound(p: int) -> int:
@@ -217,9 +218,7 @@ def _lift_one_factor(store, name, block, rho, mult, rec, cfg, rng, prov):
                 v = lift.lift_1dim(block, lam, rec.mu, nu, rng, cfg.lift_config)
                 orbit = lift.GaloisOrbit(
                     level=p, block=name, rho=rho, multiplicity=1, dim=1,
-                    field_poly=rho, basis=[v.tolist()],
-                    eigenvector=[[Fraction(int(x))] for x in v],
-                    sep_ell=2, field=None)
+                    field_poly=rho, basis=[v.tolist()], sep_ell=2)
                 log.info("stage=lift p=%d block=%s rho=%s route=1dim", p, name, rho)
                 return [orbit], rec
             hl = lift.lift_highdim(
@@ -263,14 +262,15 @@ def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng):
                               _orbit_pairs(store, orbit.block), j, jp, prec)
             for u in orbit.basis
         ]
-        evec = [fld.elt([Fraction(x) for x in comp]) for comp in orbit.eigenvector]
+        powers = mestre.separating_powers(
+            orbit.basis, store.block(orbit.sep_ell, orbit.block), fld.deg)
         alpha_cols = {}
         exact = {}
         needed = fld.deg + 2
         for ell in (2, 3, 5, 7, 11, 13):
             if ell == p or len(alpha_cols) >= needed:
                 continue
-            a_ell = mestre.eigenvalue_of(evec, store.block(ell, orbit.block), fld)
+            a_ell = mestre.eigenvalue_of(powers, store.block(ell, orbit.block), fld)
             alpha_cols[ell] = hecke.to_basis_coords(a_ell)
             exact[ell] = a_ell
         beta = mestre.solve_beta(alpha_cols, psis, p)

@@ -115,13 +115,6 @@ class PowerSeries:
         """Multiply by q^k."""
         return PowerSeries(self.p, self.val + k, self.coeffs, self.absprec + k)
 
-    def dilate(self, m: int) -> "PowerSeries":
-        """Substitute q -> q^m (m >= 1)."""
-        out = np.zeros(len(self.coeffs) * m - m + 1 if len(self.coeffs) else 0, dtype=np.int64)
-        if len(self.coeffs):
-            out[::m] = self.coeffs
-        return PowerSeries(self.p, self.val * m, out, self.absprec * m)
-
     def differentiate(self) -> "PowerSeries":
         """d/dq, handling negative exponents."""
         exps = np.arange(self.val, self.val + len(self.coeffs), dtype=np.int64) % self.p
@@ -207,13 +200,6 @@ def j_series(p: int, n: int) -> tuple[PowerSeries, PowerSeries]:
     return j, j.differentiate()
 
 
-def j_series_e4_route(p: int, n: int) -> PowerSeries:
-    """Independent j route via E4^3 (cross-oracle for the default route)."""
-    e4 = _sigma_series(p, 3, 240, n + 2)
-    num = series_mul(series_mul(e4, e4), e4)
-    return _j_from_numerator(num, p, n)
-
-
 # ---------------------------------------------------------------------------
 # Rational functions over F_p and the partial-fraction tree
 # ---------------------------------------------------------------------------
@@ -262,14 +248,6 @@ def rational_sum_tree(leaves: list[RationalFunction]) -> RationalFunction:
             nxt.append(layer[-1])
         layer = nxt
     return layer[0]
-
-
-def partial_fraction_tree(terms, p: int) -> RationalFunction:
-    """P/Q = sum gamma_i / (x - j_i) for (gamma_i, j_i) over F_p."""
-    leaves = [
-        RationalFunction(p, [g % p], [(-j) % p, 1]) for g, j in terms
-    ]
-    return rational_sum_tree(leaves)
 
 
 # ---------------------------------------------------------------------------

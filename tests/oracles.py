@@ -600,6 +600,35 @@ def npoly_mul_kronecker(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
                      for i in range(out_len)], dtype=np.int64)
 
 
+def dilate(s: "series.PowerSeries", m: int) -> "series.PowerSeries":
+    """s(q^m) for m >= 1."""
+    out = np.zeros(len(s.coeffs) * m - m + 1 if len(s.coeffs) else 0, dtype=np.int64)
+    if len(s.coeffs):
+        out[::m] = s.coeffs
+    return series.PowerSeries(s.p, s.val * m, out, s.absprec * m)
+
+
+def j_series_e4_route(p: int, n: int) -> "series.PowerSeries":
+    """j = E4^3 / Delta mod p to absolute precision n - 1, with
+    E4 = 1 + 240 sum sigma_3(k) q^k from plain divisor sums and
+    Delta = q eta^24: a route to j that shares neither the weight-12
+    Eisenstein series nor the 744 normalization with series.j_series."""
+    sigma3 = [0] + [sum(d**3 for d in range(1, k + 1) if k % d == 0) for k in range(1, n + 2)]
+    e4 = series.PowerSeries(p, 0, [1] + [240 * x % p for x in sigma3[1:]], n + 2)
+    eta3 = series.eta_cubed(p, n + 2)
+    e8 = eta3
+    for _ in range(7):
+        e8 = series.series_mul(e8, eta3)
+    num = series.series_mul(series.series_mul(e4, e4), e4)
+    return series.series_mul(num, series.series_inv(e8, n + 1)).shift(-1).truncate(n - 1)
+
+
+def partial_fraction_tree(terms, p: int) -> "series.RationalFunction":
+    """P/Q = sum gamma_i / (x - j_i) for (gamma_i, j_i) over F_p."""
+    leaves = [series.RationalFunction(p, [g % p], [(-j) % p, 1]) for g, j in terms]
+    return series.rational_sum_tree(leaves)
+
+
 def horner_compose(gcoeffs: np.ndarray, u: "series.PowerSeries", absprec: int):
     """sum_k g[k] u(q)^k by Horner's rule, one series product per term: the
     slow oracle for series.brent_kung_compose."""
@@ -627,6 +656,14 @@ def horner_reciprocal_j(r: "series.RationalFunction", j: "series.PowerSeries", n
 # Frobenius matrix, on the schoolbook division and Euclid they used.  Only
 # NPolyModCtx.powmod is shared with the package.
 # ---------------------------------------------------------------------------
+
+
+def npoly_eval(a: np.ndarray, x: int, m: int) -> int:
+    """a(x) mod m by Horner's rule."""
+    acc = 0
+    for c in a[::-1]:
+        acc = (acc * x + int(c)) % m
+    return acc
 
 
 def npoly_divrem_ref(a: np.ndarray, b: np.ndarray, m: int):
@@ -980,3 +1017,140 @@ def permuted_to(B: np.ndarray, sset_from, sset_to) -> np.ndarray:
     pos = {v: i for i, v in enumerate(sset_from.vertices)}
     perm = np.array([pos[v] for v in sset_to.vertices], dtype=np.int64)
     return B[np.ix_(perm, perm)]
+
+
+# ---------------------------------------------------------------------------
+# Hecke eigenvalues from one eigenvector over the Hecke field: the route the
+# package took before it read a_ell off the orbit's integer basis
+# ---------------------------------------------------------------------------
+
+
+def _trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def field_inv(fld, a):
+    """1/a in the number field fld = Q[t]/(h), by extended Euclid against h."""
+    r0 = [Fraction(x) for x in fld.h]
+    r1 = _trim(a)
+    if not r1:
+        raise ZeroDivisionError("inverse of zero field element")
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        # divide r0 by r1
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        r = [Fraction(x) for x in r0]
+        while len(r) >= len(r1) and _trim(r):
+            c = r[-1] / r1[-1]
+            k = len(r) - len(r1)
+            q[k] = c
+            for i in range(len(r1)):
+                r[k + i] -= c * r1[i]
+            r = _trim(r)
+        # s_new = s0 - q*s1
+        qs = [Fraction(0)] * (len(q) + len(s1))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1):
+                    qs[i + j] += x * y
+        snew = [Fraction(0)] * max(len(s0), len(qs))
+        for i, x in enumerate(s0):
+            snew[i] += x
+        for i, x in enumerate(qs):
+            snew[i] -= x
+        r0, r1 = _trim(r1), _trim(r)
+        s0, s1 = s1, _trim(snew)
+    # r0 is the gcd (a constant for irreducible h)
+    if len(r0) != 1:
+        raise ValueError("defining polynomial is not irreducible")
+    return fld.elt([x / r0[0] for x in s0])
+
+
+def field_kernel_basis(fld, mat, dim: int):
+    """Nullspace basis of a square matrix with entries in the number field."""
+    is_zero = lambda a: all(x == 0 for x in a)
+    a = [list(row) for row in mat]
+    pivots = {}
+    r = 0
+    for c in range(dim):
+        piv = next((i for i in range(r, dim) if not is_zero(a[i][c])), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        s = field_inv(fld, a[r][c])
+        a[r] = [fld.mul(x, s) for x in a[r]]
+        for i in range(dim):
+            if i != r and not is_zero(a[i][c]):
+                f = a[i][c]
+                a[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    for c in range(dim):
+        if c in pivots:
+            continue
+        v = [fld.zero] * dim
+        v[c] = fld.one
+        for pc, pr in pivots.items():
+            v[pc] = fld.sub(fld.zero, a[pr][c])
+        basis.append(v)
+    return basis
+
+
+def clear_field_vector(e: list) -> list:
+    """The field vector e (power-basis coordinates per vertex) scaled to
+    primitive integer coordinates."""
+    den = 1
+    for comp in e:
+        for x in comp:
+            den = math.lcm(den, Fraction(x).denominator)
+    out = [[Fraction(x) * den for x in comp] for comp in e]
+    g = 0
+    for comp in out:
+        for x in comp:
+            g = math.gcd(g, abs(int(x)))
+    if g > 1:
+        out = [[x / g for x in comp] for comp in out]
+    return out
+
+
+def hecke_field_eigenvector(lift_basis: np.ndarray, s_matrix: list, fld) -> list:
+    """One eigenvector over fld = Q[theta]/(h) of a lifted kernel: the
+    coordinates x with S x = theta x for the integer action S of the
+    separating operator on the n x m kernel basis, unfolded to the vertices
+    as lift_basis x and cleared of denominators."""
+    mdim = len(s_matrix)
+    theta = fld.elt([0, 1])
+    mat = [[fld.elt([s_matrix[i][j]]) for j in range(mdim)] for i in range(mdim)]
+    for i in range(mdim):
+        mat[i][i] = fld.sub(mat[i][i], theta)
+    xs = field_kernel_basis(fld, mat, mdim)
+    if not xs:
+        raise ArithmeticError("no eigenvector over the Hecke field")
+    e = []
+    for i in range(lift_basis.shape[0]):
+        acc = fld.zero
+        for j in range(mdim):
+            acc = fld.add(acc, fld.scale(xs[0][j], int(lift_basis[i, j])))
+        e.append(list(acc))
+    return clear_field_vector(e)
+
+
+def eigenvalue_ratio(evec, t_mat, fld):
+    """a_ell with T_ell v = a_ell v for an exact eigenvector v over fld (one
+    power-basis coordinate list per vertex), checked at every coordinate."""
+    d = fld.deg
+    cols = [np.array([int(x[comp]) for x in evec], dtype=object) for comp in range(d)]
+    image = [t_mat.matvec_exact(c) for c in cols]
+    at = lambda vecs, i: fld.elt([Fraction(int(vecs[c][i])) for c in range(d)])
+    pivot = next((i for i in range(len(evec)) if any(cols[c][i] for c in range(d))), None)
+    if pivot is None:
+        raise ValueError("zero eigenvector")
+    a = fld.mul(at(image, pivot), field_inv(fld, at(cols, pivot)))
+    for i in range(len(evec)):
+        if fld.mul(a, at(cols, i)) != at(image, i):
+            raise ValueError("inconsistent eigenvalue ratios across coordinates")
+    return a

@@ -145,10 +145,10 @@ def test_eigenvalue_of_examples(rng):
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
     fld = numfield.NumberField([2, 1])
-    evec = [fld.elt([Fraction(int(x))]) for x in v]
-    assert mestre.eigenvalue_of(evec, al.minus, fld) == fld.elt([-2])
+    powers = mestre.separating_powers([v], al.minus, 1)
+    assert mestre.eigenvalue_of(powers, al.minus, fld) == fld.elt([-2])
     al3 = ssgraph.split_atkin_lehner(ssgraph.hecke_matrix(sset, 3), sset)
-    a3 = mestre.eigenvalue_of(evec, al3.minus, fld)
+    a3 = mestre.eigenvalue_of(powers, al3.minus, fld)
     curve = oracles.GOLDEN_CURVES[11][0]
     assert a3 == fld.elt([oracles.curve_ap(curve, 3, 11)])
     assert fld.elt([oracles.curve_ap(curve, 2, 11)]) == fld.elt([-2])
@@ -215,14 +215,89 @@ def test_ambiguous_lift_aborts(rng):
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
     orbit = lift.GaloisOrbit(level=11, block="minus", rho=(2, 1), multiplicity=1,
-                             dim=1, field_poly=(2, 1), basis=[v.tolist()],
-                             eigenvector=[[Fraction(int(x))] for x in v],
-                             sep_ell=2, field=None)
+                             dim=1, field_poly=(2, 1), basis=[v.tolist()], sep_ell=2)
     hecke = mestre.HeckeField.build((2, 1), 11, rng)
     j, jp = series.j_series(11, 40)
     psi = mestre.mestre_rhs(v, "minus", sset, al.minus_orbits, j, jp, 30)
     fld = hecke.field
-    a2 = mestre.eigenvalue_of(orbit.eigenvector, al.minus, fld)
+    powers = mestre.separating_powers(orbit.basis, al.minus, 1)
+    a2 = mestre.eigenvalue_of(powers, al.minus, fld)
     bs = mestre.solve_beta({2: hecke.to_basis_coords(a2)}, [psi], 11)
     with pytest.raises(mestre.AmbiguousLiftError):
         mestre.q_expansion(orbit, hecke, bs, [psi], 20, 11)
+
+
+def test_eigenvalue_of_matches_hecke_field_route(monkeypatch):
+    # every orbit of the prime levels 5..500, as the pipeline lifts them:
+    # a_ell read off the orbit's integer basis equals T_ell e / e on the
+    # Hecke-field eigenvector e of the lifted kernel, at every coordinate
+    from ssforms import pipeline
+
+    recorded = []
+    separate = lift.separate_orbits
+
+    def recording(hl, level, block):
+        got = separate(hl, level, block)
+        recorded.extend((o, hl) for o in got)
+        return got
+
+    monkeypatch.setattr(lift, "separate_orbits", recording)
+    cfg = pipeline.RunConfig(level_range=(5, 500))
+    checked, sep_not_2, dim_5_up = 0, 0, 0
+    for p in cfg.levels():
+        rng = np.random.default_rng([cfg.seed, p])
+        store = pipeline.GraphStore(p, rng, None)
+        for name in ("minus", "plus"):
+            recorded.clear()
+            orbits, _, _ = pipeline._lift_block_orbits(store, name, cfg, rng)
+            for orbit in orbits:
+                fld = numfield.NumberField(orbit.field_poly)
+                hl = next((h for o, h in recorded if o is orbit), None)
+                if hl is None:  # lift_1dim: the integer eigenvector itself
+                    evec = [[Fraction(int(x))] for x in orbit.basis[0]]
+                else:
+                    evec = oracles.hecke_field_eigenvector(hl.basis, hl.s_matrix, fld)
+                powers = mestre.separating_powers(
+                    orbit.basis, store.block(orbit.sep_ell, name), orbit.dim)
+                for ell in (2, 3, 5, 7, 11, 13):
+                    if ell == p:
+                        continue
+                    t_ell = store.block(ell, name)
+                    want = oracles.eigenvalue_ratio(evec, t_ell, fld)
+                    assert mestre.eigenvalue_of(powers, t_ell, fld) == want, (p, name, ell)
+                    checked += 1
+                sep_not_2 += orbit.sep_ell != 2
+                dim_5_up += orbit.dim >= 5
+    assert sep_not_2 and dim_5_up and checked > 500, (sep_not_2, dim_5_up, checked)
+
+
+def test_eigenvalue_of_rejects_one_bad_coordinate():
+    # T_ell agrees with 5 = P(T_s) on the basis vector except at coordinate 2
+    t_s = linalg.SparseSignedMatrix.from_dense(2 * np.eye(3, dtype=np.int64))
+    fld = numfield.NumberField([-2, 1])
+    powers = mestre.separating_powers([[1, 1, 1]], t_s, 1)
+    t5 = linalg.SparseSignedMatrix.from_dense(np.diag([5, 5, 5]))
+    assert mestre.eigenvalue_of(powers, t5, fld) == fld.elt([5])
+    with pytest.raises(mestre.MestreError):
+        mestre.eigenvalue_of(powers, linalg.SparseSignedMatrix.from_dense(np.diag([5, 5, 6])), fld)
+
+
+def test_eigenvalue_of_rejects_a_perturbed_basis(rng):
+    # p = 23's two-dimensional orbit, separated by T_2: changing one entry of
+    # either basis vector breaks T_3 = P(T_2) on the orbit
+    sset, T, al = _level_setup(23, rng)
+    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    hl = lift.lift_highdim(al.minus, (-1, 1, 1), 1, rec.mu, rec.nu, rng,
+                           lift.LiftSearchConfig(), None, 23)
+    (orbit,) = lift.separate_orbits(hl, 23, "minus")
+    fld = numfield.NumberField(orbit.field_poly)
+    t3 = ssgraph.split_atkin_lehner(ssgraph.hecke_matrix(sset, 3), sset).minus
+    powers = mestre.separating_powers(orbit.basis, al.minus, 2)
+    assert mestre.eigenvalue_of(powers, t3, fld) == oracles.eigenvalue_ratio(
+        oracles.hecke_field_eigenvector(hl.basis, hl.s_matrix, fld), t3, fld)
+    for j in range(2):
+        for i in range(len(orbit.basis[j])):
+            basis = [list(b) for b in orbit.basis]
+            basis[j][i] += 1
+            with pytest.raises(mestre.MestreError):
+                mestre.eigenvalue_of(mestre.separating_powers(basis, al.minus, 2), t3, fld)

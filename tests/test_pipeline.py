@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssforms import linalg, pipeline, ssgraph
+from ssforms import gf, linalg, pipeline, ssgraph
 
 
 def test_run_level_p11():
@@ -85,6 +85,21 @@ def test_config_validation():
     with pytest.raises(pipeline.ConfigError):
         pipeline.RunConfig(level=11, g_max=9).validate()
     pipeline.RunConfig(level=11).validate()
+
+
+def test_config_rejects_an_oversized_range_before_sieving(monkeypatch):
+    from sympy import primerange
+
+    assert pipeline.RunConfig(level_range=(1, 1000)).levels() == list(primerange(5, 1001))
+    assert pipeline.RunConfig(level_range=(13, 13)).levels() == [13]
+
+    def no_sieve(a, b):
+        raise AssertionError(f"sieved the range up to {b}")
+
+    # the sieve would take b + 1 bytes: the range end is checked first
+    monkeypatch.setattr(pipeline, "_primes_between", no_sieve)
+    with pytest.raises(pipeline.ConfigError):
+        pipeline.RunConfig(level_range=(5, gf.MAX_MODULUS + 1)).validate()
 
 
 def test_config_rejects_bad_auxiliary_moduli():

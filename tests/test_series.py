@@ -52,7 +52,7 @@ def test_j_series_matches_exact_expansion():
 def test_j_routes_agree():
     for p in (11, 13, 1009, 691):
         j1, _ = series.j_series(p, 200)
-        j2 = series.j_series_e4_route(p, 200)
+        j2 = oracles.j_series_e4_route(p, 200)
         assert j1 == j2
 
 
@@ -104,9 +104,9 @@ def test_series_mul_commutative_associative(data):
 
 def test_partial_fraction_examples(rng):
     p = 10007
-    r = series.partial_fraction_tree([(5, 3)], p)
+    r = oracles.partial_fraction_tree([(5, 3)], p)
     assert r.num.tolist() == [5] and r.den.tolist() == [(-3) % p, 1]
-    r2 = series.partial_fraction_tree([(1, 1), (1, -1)], p)
+    r2 = oracles.partial_fraction_tree([(1, 1), (1, -1)], p)
     assert r2.num.tolist() == [0, 2] and r2.den.tolist() == [p - 1, 0, 1]
 
 
@@ -129,13 +129,13 @@ def _naive_sum(terms, p):
 def test_partial_fraction_tree_vs_naive_and_permutation(rng):
     p = 10007
     terms = [(int(rng.integers(1, p)), int(rng.integers(0, p))) for _ in range(8)]
-    r = series.partial_fraction_tree(terms, p)
+    r = oracles.partial_fraction_tree(terms, p)
     num, den = _naive_sum(terms, p)
     assert r.num.tolist() == gf.npoly_trim(num).tolist()
     assert r.den.tolist() == den.tolist()
     perm = list(terms)
     rng.shuffle(perm)
-    r2 = series.partial_fraction_tree(perm, p)
+    r2 = oracles.partial_fraction_tree(perm, p)
     assert r2.num.tolist() == r.num.tolist() and r2.den.tolist() == r.den.tolist()
 
 
@@ -172,7 +172,7 @@ def test_phi2_functional_identity():
     table = ssgraph.bundled_modular_polynomials()[2]
     for p in (11, 101, 1009):
         j, _ = series.j_series(p, 120)
-        j2 = j.dilate(2)
+        j2 = oracles.dilate(j, 2)
         absprec = 50
         acc = series.PowerSeries.zero(p, absprec)
         jpow = {0: series.PowerSeries.one(p, 200)}
@@ -188,7 +188,7 @@ def test_phi2_functional_identity():
 def test_dilate_and_differentiate():
     p = 101
     s = series.PowerSeries(p, -1, [1, 7, 3], 2)
-    d = s.dilate(3)
+    d = oracles.dilate(s, 3)
     assert d.val == -3 and d.coeff(-3) == 1 and d.coeff(0) == 7 and d.coeff(3) == 3
     dd = s.differentiate()
     assert dd.coeff(-2) == (-1) % p and dd.coeff(0) == 3

@@ -126,12 +126,12 @@ def test_chi_product_and_eisenstein(rng):
             chi_m = oracles.hessenberg_charpoly_mod(al.minus.to_dense(), nu)
             assert gf.npoly_mul(chi_p, chi_m, nu).tolist() == chi_b.tolist()
             # Eisenstein eigenvalue ell+1 sits in the minus block, multiplicity 1
-            assert gf.npoly_eval(chi_m, ell + 1, nu) == 0
+            assert oracles.npoly_eval(chi_m, ell + 1, nu) == 0
             der = gf.npoly_derivative(chi_m, nu)
-            assert any(gf.npoly_eval(gf.npoly_derivative(
+            assert any(oracles.npoly_eval(gf.npoly_derivative(
                 oracles.hessenberg_charpoly_mod(al.minus.to_dense(), q), q),
                 ell + 1, q) != 0 for q in nus)
-            assert any(gf.npoly_eval(
+            assert any(oracles.npoly_eval(
                 oracles.hessenberg_charpoly_mod(al.plus.to_dense(), q),
                 ell + 1, q) != 0 for q in nus) or al.plus.n == 0
 
