@@ -15,11 +15,15 @@ irreducibility).  It is a reference enumerator that no production path
 calls.
 
 Lifting follows the small-entries heuristic: candidate integer lifts of
-F_nu-kernel data are checked exactly over Z.  ``separate_orbits`` splits a
-lifted kernel by the irreducible factors h of its separating operator's
-charpoly; a ``GaloisOrbit`` is then just its integer basis, h and the prime
-sep_ell of the separating operator T_sep, all that ``mestre.eigenvalue_of``
-needs to read exact eigenvalues off it.
+F_nu-kernel data are checked exactly over Z.  The integer action S of the
+separating operator on the lifted kernel is solved over Q; when it comes out
+fractional, the lattice is saturated under the operator through sympy's
+Hermite normal form.  ``separate_orbits`` splits a lifted kernel by the
+irreducible factors h of S's charpoly, taking the kernel of each h(S); a
+``GaloisOrbit`` is then just its integer basis, h and the prime sep_ell of
+the separating operator T_sep, all that ``mestre.eigenvalue_of`` needs to
+read exact eigenvalues off it.  The exact algebra over Q and Z is sympy's
+DomainMatrix, through ``numfield``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form
 
 from . import gf, numfield
 from .linalg import SparseSignedMatrix, inv_mod, rank_mod
@@ -42,14 +49,13 @@ class LiftFailure(RuntimeError):
     """Recoverable: the caller switches the auxiliary prime."""
 
 
-@dataclass
-class LiftSearchConfig:
-    max_1dim_lifts: int = 50
-    column_entry_bound: int = 3
-    highdim_attempt_cap: int = 4000
-    refresh_every: int = 5
-    row_pool_extra: int = 4
-    separating_primes: tuple = (3, 5, 7, 11, 13)
+# the lifting search
+MAX_1DIM_LIFTS = 50            # multiples of the F_nu eigenvector tried
+COLUMN_ENTRY_BOUND = 3         # entry bound of the high-dimension column search
+HIGHDIM_ATTEMPT_CAP = 4000     # columns tried before a high-dimension lift fails
+REFRESH_EVERY = 5              # separating primes tried per kernel projection
+ROW_POOL_EXTRA = 4             # rows pooled beyond the Krylov rank
+SEPARATING_PRIMES = (3, 5, 7, 11, 13)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +492,7 @@ def _lift_smallest(v: np.ndarray, nu: int) -> np.ndarray:
     return np.where(w > nu // 2, w - nu, w).astype(np.int64)
 
 
-def lift_1dim(m: SparseSignedMatrix, lam: int, mu: np.ndarray, nu: int, rng,
-              config: LiftSearchConfig) -> np.ndarray:
+def lift_1dim(m: SparseSignedMatrix, lam: int, mu: np.ndarray, nu: int, rng) -> np.ndarray:
     """Integer eigenvector for an integer eigenvalue lam of multiplicity one:
     Horner-evaluate mu/(t - lam) against fresh iterates, then try small
     multiples of the F_nu eigenvector lifted coordinate-wise."""
@@ -505,7 +510,7 @@ def lift_1dim(m: SparseSignedMatrix, lam: int, mu: np.ndarray, nu: int, rng,
     vals, counts = np.unique(v[v != 0], return_counts=True)
     alpha = int(vals[np.argmax(counts)])
     alpha_inv = pow(alpha, -1, nu)
-    for c in range(1, config.max_1dim_lifts + 1):
+    for c in range(1, MAX_1DIM_LIFTS + 1):
         w = _lift_smallest(v * (c * alpha_inv % nu) % nu, nu)
         if not w.any():
             continue
@@ -514,7 +519,7 @@ def lift_1dim(m: SparseSignedMatrix, lam: int, mu: np.ndarray, nu: int, rng,
             if g != 1:
                 raise ArithmeticError(f"lifted eigenvector has content {g}")
             return w
-    raise LiftFailure(f"no integer lift among {config.max_1dim_lifts} candidates")
+    raise LiftFailure(f"no integer lift among {MAX_1DIM_LIFTS} candidates")
 
 
 @dataclass
@@ -566,8 +571,7 @@ def _shell_columns(m: int, bound: int, cap: int) -> tuple[list[int], list[np.nda
 
 
 def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
-                 nu: int, rng, config: LiftSearchConfig, t_ell_provider,
-                 level: int) -> HighDimLift:
+                 nu: int, rng, t_ell_provider, level: int) -> HighDimLift:
     """Find r*deg(rho) independent integer vectors in ker rho(T_2) plus the
     integer matrix of a separating Hecke action on them."""
     d_rho = len(rho) - 1
@@ -600,7 +604,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
             sep_ell = 2
     if cols is None:
         tried = 0
-        for ell in config.separating_primes:
+        for ell in SEPARATING_PRIMES:
             if ell == level:
                 continue
             t_ell = t_ell_provider(ell)
@@ -613,7 +617,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
                 sep_ell = ell
                 break
             tried += 1
-            if tried % config.refresh_every == 0:
+            if tried % REFRESH_EVERY == 0:
                 v = fresh_v()
         else:
             raise LiftFailure("no separating ell among the bundled primes")
@@ -632,10 +636,10 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
             kept.append(row)
             pool.append(row)
             pool_freq.append(int(counts[idx]))
-        elif len(kept) == mdim and len(pool) < mdim + config.row_pool_extra:
+        elif len(kept) == mdim and len(pool) < mdim + ROW_POOL_EXTRA:
             pool.append(row)
             pool_freq.append(int(counts[idx]))
-        if len(pool) >= mdim + config.row_pool_extra:
+        if len(pool) >= mdim + ROW_POOL_EXTRA:
             break
     if len(kept) < mdim:
         raise LiftFailure("Krylov matrix has deficient row rank")
@@ -645,8 +649,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
         size = sum((1.0 / pool_freq[i]) ** 2 for i in combo)
         combos.append((size, combo))
     combos.sort()
-    shell_sizes, shells = _shell_columns(mdim, config.column_entry_bound,
-                                         config.highdim_attempt_cap)
+    shell_sizes, shells = _shell_columns(mdim, COLUMN_ENTRY_BOUND, HIGHDIM_ATTEMPT_CAP)
 
     # ordered walk over (row-combo) x (column-shell) by product of sizes
     import heapq
@@ -659,7 +662,7 @@ def lift_highdim(m2: SparseSignedMatrix, rho: tuple, r: int, mu: np.ndarray,
     found_rref: list = []
     attempts = 0
     rho_int = [int(x) for x in rho]
-    while heap and attempts < config.highdim_attempt_cap:
+    while heap and attempts < HIGHDIM_ATTEMPT_CAP:
         _, ci, si = heapq.heappop(heap)
         if si + 1 < len(shells):
             heapq.heappush(heap, (combos[ci][0] * shell_sizes[si + 1], ci, si + 1))
@@ -704,84 +707,44 @@ def _action_matrix(t_mat: SparseSignedMatrix, basis: np.ndarray, mdim: int) -> l
     basis_cols = [np.array([int(x) for x in basis[:, j]], dtype=np.int64)
                   for j in range(mdim)]
     for _ in range(6):
-        s, integral = _solve_action(t_mat, basis_cols)
-        if integral:
+        s = _solve_action(t_mat, basis_cols)
+        if all(x.denominator == 1 for row in s for x in row):
             for j in range(mdim):
                 basis[:, j] = basis_cols[j]
-            return s
+            return [[int(x) for x in row] for row in s]
         # enlarge toward the saturation: L + T(L), reduced by integer HNF
-        stacked = [c.copy() for c in basis_cols]
-        stacked += [np.asarray(t_mat.matvec_exact(c), dtype=object) for c in basis_cols]
-        basis_cols = _hnf_reduce_rows(stacked, mdim)
+        basis_cols = _hnf_basis(
+            basis_cols + [t_mat.matvec_exact(c) for c in basis_cols], mdim)
     raise LiftFailure("lattice saturation did not stabilize")
 
 
-def _solve_action(t_mat: SparseSignedMatrix, basis_cols: list):
+def _solve_action(t_mat: SparseSignedMatrix, basis_cols: list) -> list:
+    """The m x m matrix S over Q with T B = B S for the n x m integer matrix B
+    of the independent basis_cols, solved on the first m independent rows
+    of B."""
     mdim = len(basis_cols)
-    n = len(basis_cols[0])
-    bmat = [[Fraction(int(basis_cols[j][i])) for j in range(mdim)] for i in range(n)]
     images = [t_mat.matvec_exact(c) for c in basis_cols]
-    # pick mdim independent rows
     sel = []
     rref: list = []
-    for i in range(n):
-        if numfield.fraction_rank_add(rref, bmat[i]):
+    for i in range(len(basis_cols[0])):
+        if numfield.fraction_rank_add(rref, [c[i] for c in basis_cols]):
             sel.append(i)
-        if len(sel) == mdim:
-            break
-    a = [[bmat[i][j] for j in range(mdim)] for i in sel]
-    s = []
-    integral = True
-    for j in range(mdim):
-        rhs = [Fraction(int(images[j][i])) for i in sel]
-        col = numfield.solve_fraction(a, rhs)
-        if any(x.denominator != 1 for x in col):
-            integral = False
-        s.append(col)
-    # S[:, j] = coefficients of image j: transpose to row-major S
-    smat = [[s[j][i] for j in range(mdim)] for i in range(mdim)]
-    if integral:
-        smat = [[int(x) for x in row] for row in smat]
-    return smat, integral
+            if len(sel) == mdim:
+                break
+    return numfield.solve([[c[i] for c in basis_cols] for i in sel],
+                          [[image[i] for image in images] for i in sel])
 
 
-def _hnf_reduce_rows(rows: list, want: int) -> list:
-    """Row-style HNF of integer vectors; returns `want` basis vectors of the
-    lattice they span."""
-    work = [[int(x) for x in r] for r in rows]
-    n = len(work[0])
-    basis = []
-    col = 0
-    while work and col < n and len(basis) < want:
-        nz = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not nz:
-            work = rest
-            col += 1
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda r: abs(r[col]))
-            a = nz[0]
-            cleared = []
-            for r in nz[1:]:
-                q = r[col] // a[col]
-                for i in range(n):
-                    r[i] -= q * a[i]
-                if r[col] == 0:
-                    if any(r):
-                        rest.append(r)
-                else:
-                    cleared.append(r)
-            nz = [a] + cleared
-        pivot = nz[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = rest
-        col += 1
-    if len(basis) != want:
+def _hnf_basis(vectors: list, want: int) -> list:
+    """A basis of the lattice spanned by integer vectors: the columns of the
+    Hermite normal form of the matrix that has them as columns.
+    ArithmeticError unless the lattice has rank want."""
+    cols = DomainMatrix.from_list([[int(v[i]) for v in vectors]
+                                   for i in range(len(vectors[0]))], ZZ)
+    hnf = hermite_normal_form(cols)
+    if hnf.shape[1] != want:
         raise ArithmeticError("lattice rank dropped during reduction")
-    return [np.array(b, dtype=np.int64) for b in basis]
+    return [np.array(c, dtype=np.int64) for c in hnf.transpose().to_list()]
 
 
 # ---------------------------------------------------------------------------
@@ -837,9 +800,9 @@ def separate_orbits(lift: HighDimLift, level: int, block: str) -> list[GaloisOrb
     of eigenvectors, and every Hecke operator commuting with T_s acts on it
     as a polynomial in T_s (see ``mestre.eigenvalue_of``).  Dimension 1 is
     no special case."""
-    s = lift.s_matrix
-    mdim = len(s)
-    chi_s = numfield.rational_charpoly(s)
+    s = np.array(lift.s_matrix, dtype=object)
+    eye = np.identity(len(s), dtype=object)
+    chi_s = numfield.charpoly(s)
     der = [i * c for i, c in enumerate(chi_s)][1:]
     g = _poly_gcd_fraction(chi_s, der)
     if len(g) != 1:
@@ -847,31 +810,21 @@ def separate_orbits(lift: HighDimLift, level: int, block: str) -> list[GaloisOrb
     orbits = []
     for h in sorted(factor_real_rooted(chi_s)):
         dh = len(h) - 1
+        h_of_s = 0 * eye
+        for c in reversed(h):
+            h_of_s = s @ h_of_s + c * eye
         # integer kernel basis of h(S)
-        kb = numfield.kernel_basis(_int_poly_of_matrix(s, h), mdim)
+        kb = numfield.kernel_basis(h_of_s)
         if len(kb) != dh:
             raise ArithmeticError("kernel dimension mismatch")
         basis_vecs = []
         for v in kb:
-            w = _combine_int(lift.basis, _primitive_int(v))
+            w = lift.basis @ np.array(_primitive_int(v), dtype=object)
             gcd = int(np.gcd.reduce([abs(int(x)) for x in w if x != 0]))
             basis_vecs.append([int(x) // gcd for x in w])
         orbits.append(GaloisOrbit(level, block, lift.rho, lift.multiplicity,
                                   dh, tuple(h), basis_vecs, lift.sep_ell))
     return orbits
-
-
-def _int_poly_of_matrix(s: list, poly: list) -> list:
-    mdim = len(s)
-    acc = [[0] * mdim for _ in range(mdim)]
-    for i in range(mdim):
-        acc[i][i] = poly[-1]
-    for c in poly[-2::-1]:
-        acc = [[sum(s[i][k] * acc[k][j] for k in range(mdim)) for j in range(mdim)]
-               for i in range(mdim)]
-        for i in range(mdim):
-            acc[i][i] += c
-    return acc
 
 
 def _primitive_int(v: list) -> list:
@@ -885,8 +838,3 @@ def _primitive_int(v: list) -> list:
     for x in ints:
         g = gcd(g, abs(x))
     return [x // g for x in ints] if g else ints
-
-
-def _combine_int(basis: np.ndarray, coeffs: list) -> list:
-    n = basis.shape[0]
-    return [sum(int(basis[i, j]) * coeffs[j] for j in range(len(coeffs))) for i in range(n)]

@@ -187,11 +187,9 @@ def taylor_shift(f: np.ndarray, k: int, nu: int) -> np.ndarray:
 
 @dataclass
 class KrylovTrace:
-    probe_index: int
     shift: int
     seq: np.ndarray           # (M + shift)^j u at the probe coordinate, j < 2n+10
     window: np.ndarray        # first min(1000, n) coords of the iterates, j < n
-    start_vector: np.ndarray
 
 
 @dataclass
@@ -214,7 +212,6 @@ class CharpolyRecord:
     chi: np.ndarray | None
     n: int
     provenance: dict = field(default_factory=dict)
-    traces: list = field(default_factory=list)
 
 
 def _random_start_vector(n: int, density: int, rng, nu: int) -> np.ndarray:
@@ -320,7 +317,7 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
                 )
             continue
         mu = taylor_shift(mu_sh, k, nu)
-        traces.append(KrylovTrace(i, k, seq, window, u))
+        traces.append(KrylovTrace(k, seq, window))
         # a single coordinate probe can see only part of the spectrum; the
         # lcm of several coordinates' recurrences from the same iterate pass
         # is the honest joint candidate
@@ -450,7 +447,7 @@ def charpoly_complete(mu: np.ndarray, m: SparseSignedMatrix, nu: int,
     """Grow the candidate minimal polynomial to the full characteristic
     polynomial, or record an incomplete result (chi None) for the driver."""
     n = m.n
-    rec = CharpolyRecord(nu=nu, mu=mu, chi=None, n=n, traces=traces)
+    rec = CharpolyRecord(nu=nu, mu=mu, chi=None, n=n)
     if len(mu) - 1 == n:
         rec.chi = mu
         rec.provenance["completion"] = "minpoly-full-degree"

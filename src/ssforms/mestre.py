@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +42,7 @@ class HeckeField:
     poly: tuple                  # defining minimal polynomial (of a_sep)
     field: numfield.NumberField
     basis: list                  # integral basis, power-basis Fraction tuples
+    basis_inverse: list          # rows: power-basis coordinates -> basis coordinates
     disc: int
     reduction_root: int | None   # root of poly mod p, when one exists
 
@@ -50,17 +50,18 @@ class HeckeField:
     def build(cls, h: tuple, p: int, rng) -> "HeckeField":
         basis, disc = numfield.integral_basis(list(h))
         fld = numfield.NumberField(list(h))
+        d = fld.deg
+        inverse = numfield.solve([[b[i] for b in basis] for i in range(d)],
+                                 np.identity(d, dtype=np.int64))
         hp = np.array([int(c) % p for c in h], dtype=np.int64)
         roots = gf.npoly_linear_roots(hp, p, rng)
-        return cls(h, fld, basis, disc, roots[0] if roots else None)
+        return cls(h, fld, basis, inverse, disc, roots[0] if roots else None)
 
     def to_basis_coords(self, elt) -> list[int]:
         """Integer coordinates of an algebraic integer in the integral basis."""
-        d = self.field.deg
-        mat = [[self.basis[j][i] for j in range(d)] for i in range(d)]
-        sol = numfield.solve_fraction(mat, [Fraction(x) for x in elt])
         out = []
-        for x in sol:
+        for row in self.basis_inverse:
+            x = sum(r * c for r, c in zip(row, elt))
             if x.denominator != 1:
                 raise MestreError(
                     "eigenvalue is not integral in the computed basis "
@@ -182,9 +183,8 @@ def eigenvalue_of(powers, t_ell: SparseSignedMatrix, fld: numfield.NumberField):
                 break
     else:
         raise MestreError("Krylov matrix of the orbit basis is singular")
-    c = numfield.solve_fraction(
-        [[Fraction(int(pw[0][i])) for pw in powers] for i in rows],
-        [Fraction(int(images[0][i])) for i in rows])
+    c = [x for (x,) in numfield.solve([[pw[0][i] for pw in powers] for i in rows],
+                                      [[images[0][i]] for i in rows])]
     den = math.lcm(*(x.denominator for x in c))
     num = [int(x * den) for x in c]
     for j, image in enumerate(images):

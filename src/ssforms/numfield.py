@@ -1,11 +1,16 @@
 """Small exact number-field arithmetic: elements of Q[t]/(h) as Fraction
 coefficient tuples, linear algebra over Q (kernels, solves, incremental
-rank, the characteristic polynomial), real embeddings, and integral bases.
+rank, the characteristic polynomial, the determinant), real embeddings, and
+integral bases.
 
 Degrees here never exceed the orbit-dimension cap, so everything is dense
-and exact; the integral basis comes from sympy's round_two with a light
-lattice reduction pass on the real-embedding Gram matrix to keep the basis
-short (unimodularity of the reduction is verified exactly).
+and exact.  Kernels, solves, charpolys and determinants are sympy's
+DomainMatrix over QQ or ZZ, taking and returning ints and Fractions; only
+the incremental rank test is hand-written, because it stops at the first d
+independent rows of a matrix with as many rows as the level has vertices.
+The integral basis comes from sympy's round_two with a light lattice
+reduction pass on the real-embedding Gram matrix to keep the basis short
+(unimodularity of the reduction is verified exactly).
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from sympy import Poly, symbols, ZZ
+from sympy import Poly, QQ, symbols, ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.numberfields.basis import round_two
 
 _t = symbols("t")
@@ -101,36 +108,25 @@ class NumberField:
         return out
 
 
-def kernel_basis(mat, dim: int):
-    """Nullspace basis of a square matrix over Q, by Gauss-Jordan
-    elimination.  Returns a list of Fraction coordinate vectors."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = dim
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        s = a[r][c]
-        a[r] = [x / s for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[c] = Fraction(1)
-        for pc, pr in pivots.items():
-            v[pc] = -a[pr][c]
-        basis.append(v)
-    return basis
+def _qq(mat) -> DomainMatrix:
+    """A matrix of ints or Fractions as a DomainMatrix over QQ."""
+    return DomainMatrix.from_list(
+        [[x if isinstance(x, Fraction) else int(x) for x in row] for row in mat], QQ)
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _fractions(mat: DomainMatrix) -> list[list[Fraction]]:
+    return [[_fraction(x) for x in row] for row in mat.to_list()]
+
+
+def kernel_basis(mat) -> list[list[Fraction]]:
+    """Nullspace basis of a matrix over Q, read off its reduced row echelon
+    form: one vector per non-pivot column c, with 1 at c and 0 at the other
+    non-pivot columns."""
+    return _fractions(_qq(mat).nullspace())
 
 
 def fraction_rank_add(rref_rows: list, w) -> bool:
@@ -149,26 +145,25 @@ def fraction_rank_add(rref_rows: list, w) -> bool:
     return False
 
 
-def rational_charpoly(mat) -> list:
-    """Exact characteristic polynomial (lowest-first ints) of an integer
-    matrix, by Faddeev-LeVerrier over Q."""
-    m = len(mat)
-    a = [[Fraction(int(x)) for x in row] for row in mat]
-    coeffs = [Fraction(1)]
-    ak = [[Fraction(0)] * m for _ in range(m)]
-    for k in range(1, m + 1):
-        for i in range(m):
-            ak[i][i] += coeffs[-1]
-        nxt = [[sum(a[i][l] * ak[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
-        tr = sum(nxt[i][i] for i in range(m))
-        coeffs.append(-tr / k)
-        ak = nxt
-    out = []
-    for c in reversed(coeffs):
-        if c.denominator != 1:
-            raise ArithmeticError(f"characteristic polynomial coefficient {c} is not integral")
-        out.append(int(c))
-    return out
+def charpoly(mat) -> list[int]:
+    """Characteristic polynomial (lowest-first ints) of an integer matrix."""
+    m = DomainMatrix.from_list([[int(x) for x in row] for row in mat], ZZ)
+    return [int(c) for c in reversed(m.charpoly())]
+
+
+def solve(mat, rhs) -> list[list[Fraction]]:
+    """The solution X of mat X = rhs over Q, for a nonsingular square matrix
+    and a matrix of right-hand sides (one column each); ZeroDivisionError
+    when mat is singular."""
+    try:
+        return _fractions(_qq(mat).lu_solve(_qq(rhs)))
+    except DMNonInvertibleMatrixError as e:
+        raise ZeroDivisionError("singular matrix") from e
+
+
+def det(mat) -> Fraction:
+    """Determinant of a square matrix over Q."""
+    return _fraction(_qq(mat).det())
 
 
 def integral_basis(h) -> tuple[list[tuple], int]:
@@ -180,8 +175,7 @@ def integral_basis(h) -> tuple[list[tuple], int]:
         return [(Fraction(1),)], 1
     T = Poly([int(c) for c in h[::-1]], _t, domain=ZZ)
     module, disc = round_two(T)
-    qq = module.QQ_matrix.to_Matrix()
-    cols = [tuple(Fraction(qq[i, c].p, qq[i, c].q) for i in range(deg)) for c in range(deg)]
+    cols = [tuple(c) for c in _fractions(module.QQ_matrix.transpose())]
     field = NumberField(h)
     cols = _lll_reduce(field, cols)
     cols = _put_one_first(cols)
@@ -189,70 +183,20 @@ def integral_basis(h) -> tuple[list[tuple], int]:
 
 
 def _put_one_first(basis):
+    """The basis with 1 first, in place of a basis element b_j whose
+    coordinate c_j in the expansion of 1 is +-1.  Replacing b_j by 1
+    multiplies the determinant of the basis by c_j (Cramer's rule), so the
+    swap is unimodular exactly when c_j = +-1.  1 is a primitive vector of
+    the maximal order, so its coordinates have gcd 1, but none of them need
+    be +-1: then ArithmeticError."""
     deg = len(basis)
     one = tuple([Fraction(1)] + [Fraction(0)] * (deg - 1))
-    # 1 is always a primitive vector of the maximal order; make it the first
-    # basis element by a unimodular change (swap with any basis vector whose
-    # coordinate on it is +-1 after expressing 1 in the basis)
     mat = [[basis[j][i] for j in range(deg)] for i in range(deg)]  # power-basis rows
-    target = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-    sol = solve_fraction(mat, target)
-    for j, c in enumerate(sol):
+    coords = solve(mat, [[c] for c in one])
+    for j, (c,) in enumerate(coords):
         if abs(c) == 1:
-            out = list(basis)
-            out[j] = one
-            # re-verify unimodularity: determinant of coordinates of out in basis
-            return [one] + [b for k, b in enumerate(out) if k != j]
-    # fall back: prepend 1 and drop a column keeping determinant +-1
-    for j in range(deg):
-        out = [one] + [b for k, b in enumerate(basis) if k != j]
-        coords = [solve_fraction(mat, list(v)) for v in out]
-        det = _det_fraction(coords)
-        if abs(det) == 1:
-            return out
+            return [one] + basis[:j] + basis[j + 1:]
     raise ArithmeticError("could not normalize 1 into the integral basis")
-
-
-def solve_fraction(mat, rhs):
-    """The solution x of mat x = rhs for a nonsingular square matrix of
-    Fractions, by Gauss-Jordan elimination."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        s = a[c][c]
-        a[c] = [x / s for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [a[i][n] for i in range(n)]
-
-
-def _det_fraction(mat):
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        s = a[c][c]
-        a[c] = [x / s for x in a[c]]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return det
 
 
 def _lll_reduce(field: NumberField, basis):
@@ -297,9 +241,7 @@ def _lll_reduce(field: NumberField, basis):
             trans[:, k] = trans[:, k - 1]
             trans[:, k - 1] = tmp
             k = max(k - 1, 1)
-    coords = [[Fraction(int(trans[i, j])) for j in range(deg)] for i in range(deg)]
-    det = _det_fraction(coords)
-    if abs(det) != 1:
+    if abs(det(trans)) != 1:
         return basis  # keep the verified-correct round_two basis
     out = []
     for j in range(deg):

@@ -12,12 +12,11 @@ never checkpointed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,10 @@ from . import gf, lift, linalg, mestre, series, sieve, ssgraph
 
 SCHEMA_VERSION = 1
 log = logging.getLogger("ssforms")
+
+
+LIFT_NU_RETRIES = 4    # auxiliary primes a failed lift moves on to
+SIEVE_NU_BUDGET = 12   # auxiliary primes the degree sieve may use per block
 
 
 class ConfigError(ValueError):
@@ -44,10 +47,6 @@ class RunConfig:
     workers: int = 1
     cache_dir: str | None = None
     out_dir: str | None = None
-    lift_nu_retries: int = 4
-    sieve_nu_budget: int = 12
-    wiedemann: linalg.WiedemannParams = dfield(default_factory=linalg.WiedemannParams)
-    lift_config: lift.LiftSearchConfig = dfield(default_factory=lift.LiftSearchConfig)
 
     def validate(self):
         # checked before levels() sieves the range up to its end
@@ -159,9 +158,9 @@ class LevelReport:
 def _block_charpoly(store: GraphStore, name: str, cfg: RunConfig, rng,
                     nu_start: int = 0) -> linalg.CharpolyRecord:
     m = store.block(2, name)
-    params = dataclasses.replace(cfg.wiedemann, nu_list=cfg.nu_list)
     t0 = time.monotonic()
-    rec = linalg.hecke_charpoly(m, params, rng, nu_start_index=nu_start)
+    rec = linalg.hecke_charpoly(m, linalg.WiedemannParams(nu_list=cfg.nu_list), rng,
+                                nu_start_index=nu_start)
     log.info("stage=charpoly p=%d block=%s n=%d nu=%d completion=%s bm_runs=%s "
              "bm_skipped=%s dt=%.2fs",
              store.p, name, m.n, rec.nu, rec.provenance.get("completion"),
@@ -209,31 +208,28 @@ def _lift_one_factor(store, name, block, rho, mult, rec, cfg, rng, prov):
     """Lift one detected factor, switching the auxiliary prime on failures;
     a factor that stops dividing chi under a new modulus is discarded."""
     p = store.p
-    nu_used = [rec.nu]
-    for attempt in range(cfg.lift_nu_retries + 1):
+    for attempt in range(LIFT_NU_RETRIES + 1):
         nu = rec.nu
         try:
             if len(rho) == 2 and mult == 1:
                 lam = -rho[0]
-                v = lift.lift_1dim(block, lam, rec.mu, nu, rng, cfg.lift_config)
+                v = lift.lift_1dim(block, lam, rec.mu, nu, rng)
                 orbit = lift.GaloisOrbit(
                     level=p, block=name, rho=rho, multiplicity=1, dim=1,
                     field_poly=rho, basis=[v.tolist()], sep_ell=2)
                 log.info("stage=lift p=%d block=%s rho=%s route=1dim", p, name, rho)
                 return [orbit], rec
             hl = lift.lift_highdim(
-                block, rho, mult, rec.mu, nu, rng, cfg.lift_config,
-                lambda ell: store.block(ell, name), p)
+                block, rho, mult, rec.mu, nu, rng, lambda ell: store.block(ell, name), p)
             got = lift.separate_orbits(hl, p, name)
             log.info("stage=lift p=%d block=%s rho=%s route=highdim sep_ell=%d orbits=%d",
                      p, name, rho, hl.sep_ell, len(got))
             return got, rec
         except lift.LiftFailure as e:
-            if attempt == cfg.lift_nu_retries:
+            if attempt == LIFT_NU_RETRIES:
                 raise
             start = cfg.nu_list.index(nu) + 1 if nu in cfg.nu_list else attempt + 1
             rec = _block_charpoly(store, name, cfg, rng, nu_start=start)
-            nu_used.append(rec.nu)
             prov["nu_history"].append(rec.nu)
             cusp = _cuspidal_part(rec.chi, rec.nu, name)
             redetected = dict(lift.detect_factors(cusp, rec.nu, cfg.g_max))
@@ -349,20 +345,18 @@ def _run_sieve(store: GraphStore, name: str, orbits, chis: dict, cfg: RunConfig,
         by_rho[orbit.rho] = by_rho.get(orbit.rho, 0) + mult
     known.extend((rho, mult) for rho, mult in sorted(by_rho.items()))
 
-    params = cfg.wiedemann
-
     def chi_provider(nu):
         if nu in chis:
             return chis[nu]
         rec = linalg.hecke_charpoly(
             block,
             linalg.WiedemannParams(nu_list=(nu,), max_nus=1,
-                                   retry_budget0=params.retry_budget0 + 2),
+                                   retry_budget0=linalg.WiedemannParams.retry_budget0 + 2),
             rng)
         return rec.chi
 
     rep = sieve.certify_degrees(chi_provider, block.n, known, name, cfg.nu_list,
-                                rng, nu_budget=cfg.sieve_nu_budget)
+                                rng, nu_budget=SIEVE_NU_BUDGET)
     return {
         "eliminated": rep.eliminated,
         "undetermined": rep.undetermined,

@@ -221,7 +221,7 @@ def wiedemann_all_columns(m, params, rng, nu: int, budget: int):
                 raise linalg.CharpolyFailure(f"shift increments exhausted at nu={nu}")
             continue
         mu = linalg.taylor_shift(np.array(mu_sh, dtype=np.int64), k, nu)
-        traces.append(linalg.KrylovTrace(i, k, seq, window, u))
+        traces.append(linalg.KrylovTrace(k, seq, window))
         best = mu if best is None else gf.npoly_lcm(best, mu, nu)
         for c in range(extra.shape[1]):
             mu_c = berlekamp_massey_py(extra[:, c], nu)
@@ -1154,3 +1154,176 @@ def eigenvalue_ratio(evec, t_mat, fld):
         if fld.mul(a, at(cols, i)) != at(image, i):
             raise ValueError("inconsistent eigenvalue ratios across coordinates")
     return a
+
+
+# ---------------------------------------------------------------------------
+# Hand-written exact linear algebra over Q and Z, the references for
+# numfield's DomainMatrix routines and lift's Hermite-normal-form saturation
+# ---------------------------------------------------------------------------
+
+
+def kernel_basis_gauss_jordan(mat, dim: int):
+    """Nullspace basis of a square matrix over Q, by Gauss-Jordan
+    elimination.  Returns a list of Fraction coordinate vectors."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    n = dim
+    pivots = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        s = a[r][c]
+        a[r] = [x / s for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    for c in range(n):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[c] = Fraction(1)
+        for pc, pr in pivots.items():
+            v[pc] = -a[pr][c]
+        basis.append(v)
+    return basis
+
+
+def faddeev_leverrier_charpoly(mat) -> list:
+    """Exact characteristic polynomial (lowest-first ints) of an integer
+    matrix, by Faddeev-LeVerrier over Q."""
+    m = len(mat)
+    a = [[Fraction(int(x)) for x in row] for row in mat]
+    coeffs = [Fraction(1)]
+    ak = [[Fraction(0)] * m for _ in range(m)]
+    for k in range(1, m + 1):
+        for i in range(m):
+            ak[i][i] += coeffs[-1]
+        nxt = [[sum(a[i][l] * ak[l][j] for l in range(m)) for j in range(m)] for i in range(m)]
+        tr = sum(nxt[i][i] for i in range(m))
+        coeffs.append(-tr / k)
+        ak = nxt
+    out = []
+    for c in reversed(coeffs):
+        if c.denominator != 1:
+            raise ArithmeticError(f"characteristic polynomial coefficient {c} is not integral")
+        out.append(int(c))
+    return out
+
+
+def solve_gauss_jordan(mat, rhs):
+    """The solution x of mat x = rhs for a nonsingular square matrix of
+    Fractions, by Gauss-Jordan elimination."""
+    n = len(rhs)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c] != 0)
+        a[c], a[piv] = a[piv], a[c]
+        s = a[c][c]
+        a[c] = [x / s for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [a[i][n] for i in range(n)]
+
+
+def det_gauss(mat):
+    """Determinant of a square matrix over Q by Gaussian elimination."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        s = a[c][c]
+        a[c] = [x / s for x in a[c]]
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def hnf_reduce_rows(rows: list, want: int) -> list:
+    """Row-style HNF of integer vectors by repeated Euclidean reduction of
+    each column; returns `want` basis vectors of the lattice they span."""
+    work = [[int(x) for x in r] for r in rows]
+    n = len(work[0])
+    basis = []
+    col = 0
+    while work and col < n and len(basis) < want:
+        nz = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        if not nz:
+            work = rest
+            col += 1
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda r: abs(r[col]))
+            a = nz[0]
+            cleared = []
+            for r in nz[1:]:
+                q = r[col] // a[col]
+                for i in range(n):
+                    r[i] -= q * a[i]
+                if r[col] == 0:
+                    if any(r):
+                        rest.append(r)
+                else:
+                    cleared.append(r)
+            nz = [a] + cleared
+        pivot = nz[0]
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        basis.append(pivot)
+        work = rest
+        col += 1
+    if len(basis) != want:
+        raise ArithmeticError("lattice rank dropped during reduction")
+    return [np.array(b, dtype=np.int64) for b in basis]
+
+
+def lattice_coords(basis: list, vecs: list):
+    """Exact coordinates (Fractions, one list per vector) of each integer
+    vector in vecs in the independent integer vectors of basis, or None when
+    some vector is outside their span over Q."""
+    m = len(basis)
+    rows, pivots = [], []
+    for i in range(len(basis[0])):
+        cand = rows + [[int(b[i]) for b in basis]]
+        # the rows are independent iff their Gram matrix is nonsingular
+        if det_gauss([[sum(x * y for x, y in zip(r, t)) for t in cand] for r in cand]):
+            rows, pivots = cand, pivots + [i]
+            if len(rows) == m:
+                break
+    out = []
+    for v in vecs:
+        x = solve_gauss_jordan(rows, [int(v[i]) for i in pivots])
+        if any(sum(xk * int(b[i]) for xk, b in zip(x, basis)) != int(v[i])
+               for i in range(len(v))):
+            return None
+        out.append(x)
+    return out
+
+
+def same_lattice(a: list, b: list) -> bool:
+    """Do the integer vectors a and the integer vectors b (each independent)
+    span the same lattice?"""
+    ab, ba = lattice_coords(b, a), lattice_coords(a, b)
+    return (len(a) == len(b) and ab is not None and ba is not None
+            and all(x.denominator == 1 for xs in ab + ba for x in xs))

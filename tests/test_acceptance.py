@@ -338,8 +338,7 @@ def test_acceptance_7_qexpansion_self_consistency(golden_reports,
         recp = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
         chi, _ = gf.npoly_divrem(recp.chi, np.array([(-3) % recp.nu, 1]), recp.nu)
         for rho, mult in lift.detect_factors(chi, recp.nu, 1):
-            v = lift.lift_1dim(al.minus, -rho[0], recp.mu, recp.nu, rng,
-                               lift.LiftSearchConfig())
+            v = lift.lift_1dim(al.minus, -rho[0], recp.mu, recp.nu, rng)
             fld = numfield.NumberField(list(rho))
             powers = mestre.separating_powers([v], al.minus, 1)
             rec = next(r for r in rep.records

@@ -4,7 +4,7 @@ import sympy
 from fractions import Fraction
 
 import oracles
-from ssforms import gf, lift, linalg, ssgraph
+from ssforms import gf, lift, linalg, pipeline, ssgraph
 
 
 def test_candidate_degree_1():
@@ -111,7 +111,7 @@ def test_lift_1dim_p11(rng):
     sset, T = ssgraph.build_adjacency(11, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
-    v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
+    v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     assert sorted(np.abs(v).tolist()) == [2, 3]
     assert (al.minus.matvec_exact(v) == -2 * v).all()
     g = int(np.gcd.reduce(np.abs(v)))
@@ -130,7 +130,7 @@ def test_lift_1dim_p37_both_blocks(rng):
             assert not len(r)
         ((rho, mult),) = lift.detect_factors(chi, rec.nu, 6)
         lam = -rho[0]
-        v = lift.lift_1dim(blk, lam, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
+        v = lift.lift_1dim(blk, lam, rec.mu, rec.nu, rng)
         assert (blk.matvec_exact(v) == lam * v).all()
         seen[name] = lam
     assert sorted(seen.values()) == [-2, 0]  # opposite blocks
@@ -143,7 +143,7 @@ def test_lift_1dim_unit_entry_returns_first(rng):
     M = linalg.SparseSignedMatrix.from_dense(A)
     nu = 999983
     mu = np.array([35 % nu, (-12) % nu, 1], dtype=np.int64)  # (t-5)(t-7)
-    v = lift.lift_1dim(M, 7, mu, nu, rng, lift.LiftSearchConfig())
+    v = lift.lift_1dim(M, 7, mu, nu, rng)
     assert v.tolist() == [0, 0, 1] or v.tolist() == [0, 0, -1]
 
 
@@ -158,8 +158,7 @@ def test_lift_highdim_p23(rng):
     def t_ell(ell):
         return ssgraph.split_atkin_lehner(ssgraph.hecke_matrix(sset, ell), sset).minus
 
-    hl = lift.lift_highdim(al.minus, rho, 1, rec.mu, rec.nu, rng,
-                           lift.LiftSearchConfig(), t_ell, 23)
+    hl = lift.lift_highdim(al.minus, rho, 1, rec.mu, rec.nu, rng, t_ell, 23)
     assert hl.sep_ell == 2  # Krylov span is full at ell = 2: early exit
     orbits = lift.separate_orbits(hl, 23, "minus")
     assert len(orbits) == 1 and orbits[0].dim == 2
@@ -193,7 +192,7 @@ def test_capped_shell_columns_stop_at_the_cap(m, bound, cap):
 
 def test_capped_shell_columns_skip_the_full_grid():
     # 7^10 = 282,475,249 columns in the grid; the cap needs four shells
-    sizes, shells = lift._shell_columns(10, 3, lift.LiftSearchConfig().highdim_attempt_cap)
+    sizes, shells = lift._shell_columns(10, 3, lift.HIGHDIM_ATTEMPT_CAP)
     assert sizes == [1, 2, 3, 4]
     # C(10,k) 2^k columns of k entries +-1, plus the 20 with one entry +-2
     assert [len(shell) for shell in shells] == [20, 180, 960, 3380]
@@ -216,7 +215,7 @@ def test_factor_divides_mod_nu_but_not_over_z(rng):
     assert (2, 1) in found5
     mu5 = chi5  # squarefree here
     with pytest.raises(lift.LiftFailure):
-        lift.lift_1dim(M, -2, mu5, 5, rng, lift.LiftSearchConfig(max_1dim_lifts=50))
+        lift.lift_1dim(M, -2, mu5, 5, rng)
     chi7 = oracles.hessenberg_charpoly_mod(A, 7)
     found7 = dict(lift.detect_factors(chi7, 7, 2))
     assert (2, 1) not in found7  # excluded under the next modulus
@@ -262,3 +261,36 @@ def test_factor_real_rooted():
     assert lift.factor_real_rooted(irr) == [irr]
     with pytest.raises(ValueError):
         lift.factor_real_rooted([1, 0, 1])  # t^2 + 1 has no real root
+
+
+def test_level_67_saturates_its_lattice_once(monkeypatch):
+    # the only level in 5..1000 whose first solve for S is fractional
+    hnf_calls, actions = [], []
+    hnf_basis, action_matrix = lift._hnf_basis, lift._action_matrix
+
+    def spy_hnf(vectors, want):
+        out = hnf_basis(vectors, want)
+        hnf_calls.append((vectors, want, out))
+        return out
+
+    def spy_action(t_mat, basis, mdim):
+        s = action_matrix(t_mat, basis, mdim)
+        actions.append((t_mat, basis.copy(), s))
+        return s
+
+    monkeypatch.setattr(lift, "_hnf_basis", spy_hnf)
+    monkeypatch.setattr(lift, "_action_matrix", spy_action)
+    rep = pipeline.run_level(67, pipeline.RunConfig(level=67))
+    assert rep.status == "ok"
+    assert len(hnf_calls) == 1
+    vectors, want, out = hnf_calls[0]
+    assert oracles.same_lattice(out, oracles.hnf_reduce_rows(vectors, want))
+    saturated = [basis for _, basis, _ in actions if basis.shape == (len(out[0]), want)
+                 and all((basis[:, j] == out[j]).all() for j in range(want))]
+    assert len(saturated) == 1
+    for t_mat, basis, s in actions:
+        # T B = B S exactly, with S integral
+        assert all(type(x) is int for row in s for x in row)
+        tb = np.array([t_mat.matvec_exact(basis[:, j]) for j in range(len(s))],
+                      dtype=object).T
+        assert (tb == basis.dot(np.array(s, dtype=object))).all()

@@ -47,11 +47,9 @@ def _cuspidal_vectors(p, al, rng):
     out = []
     for rho, mult in lift.detect_factors(chi, rec.nu, 6):
         if len(rho) == 2 and mult == 1:
-            out.append(lift.lift_1dim(al.minus, -rho[0], rec.mu, rec.nu, rng,
-                                      lift.LiftSearchConfig()))
+            out.append(lift.lift_1dim(al.minus, -rho[0], rec.mu, rec.nu, rng))
         else:
-            hl = lift.lift_highdim(al.minus, rho, mult, rec.mu, rec.nu, rng,
-                                   lift.LiftSearchConfig(), None, p)
+            hl = lift.lift_highdim(al.minus, rho, mult, rec.mu, rec.nu, rng, None, p)
             for orbit in lift.separate_orbits(hl, p, "minus"):
                 out.extend(np.array(b, dtype=np.int64) for b in orbit.basis)
     return out
@@ -143,7 +141,7 @@ def test_eigenvalue_of_examples(rng):
     # p = 11: a_2 = -2, a_3 = -1, matching point counts on conductor-11 curve
     sset, T, al = _level_setup(11, rng)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
-    v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
+    v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     fld = numfield.NumberField([2, 1])
     powers = mestre.separating_powers([v], al.minus, 1)
     assert mestre.eigenvalue_of(powers, al.minus, fld) == fld.elt([-2])
@@ -213,7 +211,7 @@ def test_ambiguous_lift_aborts(rng):
 
     sset, T, al = _level_setup(11, rng)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
-    v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng, lift.LiftSearchConfig())
+    v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     orbit = lift.GaloisOrbit(level=11, block="minus", rho=(2, 1), multiplicity=1,
                              dim=1, field_poly=(2, 1), basis=[v.tolist()], sep_ell=2)
     hecke = mestre.HeckeField.build((2, 1), 11, rng)
@@ -287,8 +285,7 @@ def test_eigenvalue_of_rejects_a_perturbed_basis(rng):
     # either basis vector breaks T_3 = P(T_2) on the orbit
     sset, T, al = _level_setup(23, rng)
     rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
-    hl = lift.lift_highdim(al.minus, (-1, 1, 1), 1, rec.mu, rec.nu, rng,
-                           lift.LiftSearchConfig(), None, 23)
+    hl = lift.lift_highdim(al.minus, (-1, 1, 1), 1, rec.mu, rec.nu, rng, None, 23)
     (orbit,) = lift.separate_orbits(hl, 23, "minus")
     fld = numfield.NumberField(orbit.field_poly)
     t3 = ssgraph.split_atkin_lehner(ssgraph.hecke_matrix(sset, 3), sset).minus
