@@ -50,7 +50,9 @@ def main():
         shown = ", ".join(map(str, levels[:8])) + (", ..." if len(levels) > 8 else "")
         print(f"{dim:>4} {disc:>10} {len(levels):>6}  {shown}")
     if failures:
-        print(f"\n{len(failures)} failed levels: {failures}")
+        print(f"\n{len(failures)} failed level(s):")
+        for level, error in failures:
+            print(f"level {level} failed: {error}")
         return 2
     return 0
 

@@ -105,6 +105,7 @@ class GraphStore:
         self.rng = rng
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self._blocks: dict[tuple[int, str], linalg.SparseSignedMatrix] = {}
+        self._j_series: dict[int, tuple] = {}
         self.sset, t2 = self._load_or_walk()
         self.al2 = ssgraph.split_atkin_lehner(t2, self.sset)
 
@@ -124,6 +125,13 @@ class GraphStore:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(ssgraph.graph_to_text(sset, t))
         return sset, t
+
+    def j_series(self, n: int) -> tuple:
+        """series.j_series(p, n), computed on first use and kept for the
+        level's other block."""
+        if n not in self._j_series:
+            self._j_series[n] = series.j_series(self.p, n)
+        return self._j_series[n]
 
     def block(self, ell: int, name: str) -> linalg.SparseSignedMatrix:
         key = (ell, name)
@@ -242,14 +250,22 @@ def _lift_one_factor(store, name, block, rho, mult, rec, cfg, rng, prov):
     raise lift.LiftFailure("unreachable")
 
 
-def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng):
+def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng, prov: dict):
+    """The records of the block's orbits of dimension at most g_max; the
+    dimensions of the others (a factor of degree <= g_max met with a
+    multiplicity) go to the block provenance under above_gmax."""
     p = store.p
+    above = [orbit.dim for orbit in orbits if orbit.dim > cfg.g_max]
+    if above:
+        prov["above_gmax"] = above
     n_coeffs = cfg.n_coeffs if cfg.n_coeffs is not None else sturm_bound(p)
     n_coeffs = max(n_coeffs, 2)
     prec = n_coeffs + mestre.PRECISION_GUARD
-    j, jp = series.j_series(p, prec + 4)
     records = []
     for orbit in orbits:
+        if orbit.dim > cfg.g_max:
+            continue
+        j, jp = store.j_series(prec + 4)
         t0 = time.monotonic()
         hecke = mestre.HeckeField.build(orbit.field_poly, p, rng)
         fld = hecke.field
@@ -313,7 +329,7 @@ def run_level(p: int, cfg: RunConfig) -> LevelReport:
         records = []
         for name in ("minus", "plus"):
             orbits, prov, chis = _lift_block_orbits(store, name, cfg, rng)
-            records.extend(_qexpansions(store, orbits, cfg, rng))
+            records.extend(_qexpansions(store, orbits, cfg, rng, prov))
             if cfg.run_sieve:
                 prov["sieve"] = _run_sieve(store, name, orbits, chis, cfg, rng)
             else:

@@ -13,7 +13,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from sympy import nextprime
+from sympy import nextprime, Poly, symbols, ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.numberfields.basis import round_two
 
 from ssforms import gf, series, ssgraph
 
@@ -1327,3 +1329,69 @@ def same_lattice(a: list, b: list) -> bool:
     ab, ba = lattice_coords(b, a), lattice_coords(a, b)
     return (len(a) == len(b) and ab is not None and ba is not None
             and all(x.denominator == 1 for xs in ab + ba for x in xs))
+
+
+# ---------------------------------------------------------------------------
+# Maximal orders: sympy's round_two, the reference for numfield's Round 2 on
+# the Hecke fields, and a brute-force p-maximality test
+# ---------------------------------------------------------------------------
+
+
+def round_two_order(h) -> tuple[list[list[Fraction]], int]:
+    """sympy's round_two on the monic integer polynomial h (lowest-first):
+    (its module's basis as Fraction columns in the power basis, its dK).
+    It is wrong on some inputs with large indices: it raises ClosureFailure
+    or returns a module that is not an order."""
+    module, disc = round_two(Poly([int(c) for c in h[::-1]], symbols("t"), domain=ZZ))
+    cols = module.QQ_matrix.transpose().to_list()
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in c] for c in cols], int(disc)
+
+
+def _companion_powers(h) -> list:
+    """The matrices of multiplication by t^0 .. t^(n-1) on the power basis
+    of Q[t]/(h), as integer lists of rows."""
+    n = len(h) - 1
+    comp = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        comp[i][i - 1] = 1
+    for i in range(n):
+        comp[i][n - 1] = -int(h[i])
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(1, n):
+        last = powers[-1]
+        powers.append([[sum(comp[i][m] * last[m][j] for m in range(n)) for j in range(n)]
+                       for i in range(n)])
+    return powers
+
+
+def is_algebraic_integer(h, elt, powers=None) -> bool:
+    """Is the element with Fraction power-basis coordinates elt integral,
+    that is, is its characteristic polynomial in Z[t]?"""
+    n = len(h) - 1
+    powers = powers or _companion_powers(h)
+    den = math.lcm(*(Fraction(x).denominator for x in elt))
+    num = [int(Fraction(x) * den) for x in elt]
+    # den * elt acts by an integer matrix a; the charpoly of a / den has
+    # integer coefficients iff den^(n-k) divides the t^k coefficient of a's
+    mat = [[sum(num[k] * powers[k][i][j] for k in range(n)) for j in range(n)]
+           for i in range(n)]
+    coeffs = DomainMatrix.from_list(mat, ZZ).charpoly()  # highest first
+    return all(int(c) % den ** k == 0 for k, c in enumerate(coeffs))
+
+
+def is_p_maximal(h, basis, p: int) -> bool:
+    """Brute force: is the order spanned by basis (Fraction power-basis
+    vectors) p-maximal?  It is unless some class of (1/p)O/O other than 0
+    holds an algebraic integer x / p.  x runs over O/pO up to the units of
+    F_p (x / p is integral iff c x / p is, for c prime to p): (p^n - 1) /
+    (p - 1) classes."""
+    n = len(basis)
+    powers = _companion_powers(h)
+    for lead in range(n):
+        # the classes whose first nonzero coordinate is a 1 at lead
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            coords = [0] * lead + [1] + list(tail)
+            elt = [sum(c * b[i] for c, b in zip(coords, basis)) / p for i in range(n)]
+            if is_algebraic_integer(h, elt, powers):
+                return False
+    return True

@@ -1,11 +1,12 @@
 """numfield's exact linear algebra against the hand-written eliminations in
 oracles, and the integral bases of the Hecke fields the pipeline meets."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from sympy import Poly, discriminant, symbols
+from sympy import discriminant, factorint, Poly, symbols
 
 import oracles
 from ssforms import lift, mestre, numfield
@@ -154,3 +155,148 @@ def test_integral_basis_and_basis_coordinates(level, h, rng):
         assert hecke.to_basis_coords(hecke.from_basis_coords(coords)) == coords
     with pytest.raises(mestre.MestreError):
         hecke.to_basis_coords(fld.elt([Fraction(1, 2)]))
+
+
+# ---------------------------------------------------------------------------
+# Maximal orders by Round 2
+# ---------------------------------------------------------------------------
+
+# Every Hecke field of dimension > 1 met at the prime levels 5..1000 (seed 0),
+# lowest coefficient first
+HECKE_FIELDS_5_1000 = [
+    (-9, -1, 1), (-8, 0, 1), (-7, 1, 1), (-5, 0, 1), (-3, -1, 1), (-3, 1, 1),
+    (-2, -2, 1), (-2, 0, 1), (-1, -3, 1), (-1, -2, 1), (-1, -1, 1), (-1, 1, 1),
+    (-1, 2, 1), (1, -3, 1), (1, 3, 1), (-9, -5, 2, 1), (-7, -4, 2, 1), (-3, -4, 1, 1),
+    (-3, 0, 3, 1), (-2, -4, 0, 1), (-2, -2, 2, 1), (-1, -5, 1, 1), (-1, -3, 1, 1),
+    (-1, -2, 1, 1), (-1, -1, 2, 1), (-1, 3, 4, 1), (1, -5, 0, 1), (1, -4, 0, 1),
+    (1, -3, -1, 1), (2, -4, 0, 1), (3, -5, 0, 1), (3, -4, -1, 1), (4, -8, 0, 1),
+    (4, -6, -1, 1), (-3, -5, 2, 4, 1), (-1, -4, 0, 3, 1), (-1, 5, -5, -1, 1),
+    (-1, 6, -1, -3, 1), (1, -5, -5, 1, 1), (1, -5, -3, 2, 1), (1, -3, -2, 2, 1),
+    (1, -1, -3, 1, 1), (1, 0, -4, -1, 1), (2, 6, -4, -2, 1), (3, -4, -5, 1, 1),
+    (-8, 14, 2, -8, 0, 1), (-8, 16, 2, -9, 0, 1), (-1, -16, -18, -1, 4, 1),
+    (-1, 3, 1, -5, 0, 1), (-1, 7, 1, -6, 0, 1), (-1, 8, 0, -6, 0, 1),
+    (1, -7, -6, 5, 5, 1), (1, -5, -9, 1, 4, 1), (1, -2, -9, -4, 2, 1),
+    (1, -2, -7, -1, 3, 1), (1, 0, -6, -3, 2, 1), (1, 0, -5, -1, 3, 1),
+    (1, 7, -7, -5, 2, 1), (3, -16, -15, 3, 5, 1), (3, 5, -4, -5, 1, 1),
+    (9, 2, -11, -3, 3, 1), (17, 21, -10, -10, 1, 1), (-8, -12, 20, 7, -9, -1, 1),
+    (-1, 3, 13, 3, -7, -1, 1), (-1, 4, 2, -8, -2, 3, 1), (-1, 9, -3, -12, 0, 4, 1),
+    (1, 5, -4, -9, 1, 4, 1), (1, 25, 22, -11, -10, 1, 1), (3, 8, -1, -12, -3, 3, 1),
+    (11, -16, -9, 17, -1, -4, 1),
+]
+
+
+def _order(h):
+    """numfield.maximal_order's basis as Fraction columns, its index
+    [O : Z[t]] and its discriminant."""
+    cols, denom, disc = numfield.maximal_order(h)
+    index = Fraction(denom ** len(cols), math.prod(c[i] for i, c in enumerate(cols)))
+    assert index.denominator == 1
+    return [[Fraction(x, denom) for x in c] for c in cols], int(index), disc
+
+
+def _disc(h) -> int:
+    return int(discriminant(Poly(list(h)[::-1], symbols("t"))))
+
+
+def test_maximal_order_equals_round_two_on_the_hecke_fields():
+    assert len(set(HECKE_FIELDS_5_1000)) == 70
+    for h in HECKE_FIELDS_5_1000:
+        cols, denom, disc = numfield.maximal_order(h)
+        want, want_disc = oracles.round_two_order(h)
+        assert [[Fraction(x, denom) for x in c] for c in cols] == want, h
+        assert disc == want_disc, h
+        # a column Hermite normal form with the denominator reduced
+        assert all(c[i] > 0 and not any(c[i + 1:]) for i, c in enumerate(cols))
+        assert all(0 <= cols[j][i] < cols[i][i] for i in range(len(cols))
+                   for j in range(i + 1, len(cols)))
+        assert math.gcd(denom, *(x for c in cols for x in c)) == 1
+
+
+@pytest.mark.parametrize("h, disc, index", [
+    ((3, 0, 1), -3, 2),
+    ((-54, 0, 0, 1), -108, 27),
+    ((-8, -2, -1, 1), -503, 2),  # Dedekind's example
+    ((-19, 0, 0, 1), -1083, 3),
+    ((1, 0, 0, 0, 1), 256, 1),
+    ((1, 1, 1, 1, 1, 1, 1), -16807, 1),
+    # the kernel of x -> x^2 mod 2 is smaller than the radical here, which
+    # needs x -> x^4 (q = 4 >= deg h); with x^2, Round 2 stops at index 256
+    ((64, 32, 0, 4, 1), -400, 512),
+])
+def test_maximal_order_of_known_fields(h, disc, index):
+    _, got_index, got_disc = _order(h)
+    assert (got_disc, got_index) == (disc, index)
+    assert _disc(h) == disc * index**2
+
+
+def _closed_order_containing_z_t(h, basis):
+    """Is the Z-span of basis (Fraction power-basis columns) a ring that
+    contains Z[t]?"""
+    fld = numfield.NumberField(list(h))
+    n = fld.deg
+    mat = [[b[i] for b in basis] for i in range(n)]
+    in_span = [fld.elt([0] * k + [1]) for k in range(n)]
+    in_span += [fld.mul(a, b) for a in basis for b in basis]
+    return all(x.denominator == 1 for v in in_span
+               for x in oracles.solve_gauss_jordan(mat, list(v)))
+
+
+def _random_fields(seed: int, count: int):
+    """Irreducible monic polynomials of degree 2..6 with small coefficients
+    and roots scaled by 2, 3, 5 or 7, which makes disc(h) divisible by high
+    powers of small primes."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(2, 7))
+        s = int(rng.choice([2, 3, 5, 7]))
+        h = [int(c) * s ** (n - k) for k, c in enumerate(rng.integers(-4, 5, size=n))] + [1]
+        if Poly(h[::-1], symbols("t")).is_irreducible:
+            count -= 1
+            yield tuple(h)
+
+
+def test_maximal_order_of_random_fields_is_a_p_maximal_order():
+    checked = 0
+    for h in _random_fields(8, 24):
+        basis, index, disc = _order(h)
+        n = len(h) - 1
+        assert _closed_order_containing_z_t(h, basis), h
+        assert _disc(h) % index**2 == 0 and _disc(h) == disc * index**2, h
+        for p, e in factorint(abs(_disc(h))).items():
+            if e >= 2 and (p**n - 1) // (p - 1) <= 400:
+                assert oracles.is_p_maximal(h, basis, p), (h, p)
+                checked += 1
+    assert checked >= 20
+
+
+def test_maximal_order_where_round_two_is_not_an_order():
+    # sympy's round_two returns index 12 and a floored dK = -13181890, but
+    # disc(h) = -2^2 3^3 31 566963 allows at most index 6
+    h = (12, 10, -3, -27, 1)
+    basis, index, disc = _order(h)
+    assert (index, disc) == (6, -52727559)
+    assert _closed_order_containing_z_t(h, basis)
+    assert all(oracles.is_p_maximal(h, basis, p) for p in (2, 3))
+    want, _ = oracles.round_two_order(h)
+    assert not all(oracles.is_algebraic_integer(h, b) for b in want)
+
+
+def test_maximal_order_of_the_degree_9_field_of_level_1223():
+    # round_two raises ClosureFailure on it
+    h = (72, 252, 68, -375, -130, 146, 32, -21, -2, 1)
+    basis, index, disc = _order(h)
+    assert _closed_order_containing_z_t(h, basis)
+    assert _disc(h) == disc * index**2
+
+
+def test_maximal_order_rejects_reducible_polynomials_and_non_orders(monkeypatch):
+    with pytest.raises(ValueError):
+        numfield.maximal_order((-4, 0, 1))
+    # a step that returns a lattice which is not a ring must not get through:
+    # Z + Z t/2 in Q(sqrt(-3)), whose discriminant -12 / 2^2 is an integer
+    # but which does not hold (t/2)^2 = -3/4, and (1/2) Z[t]
+    for bogus in (([[2, 0], [0, 1]], 2), ([[1, 0], [0, 1]], 2)):
+        monkeypatch.setattr(numfield, "_enlarge",
+                            lambda table, cols, denom, p: bogus if denom == 1 else None)
+        with pytest.raises(ArithmeticError):
+            numfield.maximal_order((3, 0, 1))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssforms import gf, linalg, pipeline, ssgraph
+from ssforms import gf, linalg, pipeline, series, ssgraph
 
 
 def test_run_level_p11():
@@ -36,6 +36,37 @@ def test_run_level_p23_table_row():
     rep = pipeline.run_level(23, pipeline.RunConfig(level=23))
     (rec,) = rep.records
     assert rec["dim"] == 2 and rec["field_disc"] == "5"
+
+
+def test_orbit_above_gmax_is_listed_not_expanded():
+    # the minus block of 1223 has a dimension-9 orbit: a_2 has minimal
+    # polynomial t^3 - 5t - 1 with multiplicity 3
+    rep = pipeline.run_level(1223, pipeline.RunConfig(level=1223))
+    assert rep.status == "ok", rep.error
+    assert rep.blocks["minus"]["above_gmax"] == [9]
+    assert "above_gmax" not in rep.blocks["plus"]
+    assert all(r["dim"] <= 6 for r in rep.records)
+    # the key is written only where such an orbit exists
+    rep = pipeline.run_level(37, pipeline.RunConfig(level=37))
+    assert not any("above_gmax" in blk for blk in rep.blocks.values())
+
+
+def test_j_series_once_per_level_and_only_for_an_orbit(monkeypatch):
+    calls = []
+    real = series.j_series
+
+    def counting(p, n):
+        calls.append((p, n))
+        return real(p, n)
+
+    monkeypatch.setattr(series, "j_series", counting)
+    rep = pipeline.run_level(37, pipeline.RunConfig(level=37))
+    # both blocks hold an orbit and share one series
+    assert {r["provenance"]["block"] for r in rep.records} == {"minus", "plus"}
+    assert len(calls) == 1
+    calls.clear()
+    rep = pipeline.run_level(13, pipeline.RunConfig(level=13))
+    assert rep.status == "ok" and rep.records == [] and calls == []
 
 
 def test_determinism_same_seed(tmp_path):
