@@ -15,11 +15,20 @@ the package only ever solves quadratics, in the ell=2 graph walk, and
 
 The Frobenius a -> a^m mod f is F_m-linear, so `NPolyModCtx.frobenius`
 builds its matrix Q (row i is x^(i*m) mod f) once repeated calls would cost
-more than that, and then maps a to a @ Q.  Distinct-degree factoring, Rabin's
-test and equal-degree splitting iterate it instead of paying a full `powmod`
-per step; distinct-degree factoring capped at degree D first cuts f to its
-factors of degree <= D with one gcd.  `dot_mod` is the one overflow rule for
-int64 dot products mod m.
+more than that, and then maps a to a @ Q.  Rabin's test and equal-degree
+splitting iterate it instead of paying a full `powmod` per step.
+`NPolyComposer` computes a(g) mod f for a fixed g by Brent and Kung's
+modular composition: a table of g^0 .. g^(s-1), s = ceil(sqrt(n)), O(n^1.5)
+memory, one block product per call, exact in float64 while
+s * (m - 1)^2 < 2^53 and through `dot_mod` above, and ceil(n / s) mulmods.
+Distinct-degree factoring takes baby steps h_i = x^(m^i), i < l ~ sqrt(n/2),
+and giant steps H_j = x^(m^(lj)) = H_(j-1)(H_1), with one gcd per giant step
+on prod_i (H_j - h_i) (von zur Gathen & Shoup 1992); capped at degree D it
+first cuts f to its factors of degree <= D with one gcd.  Both get
+h_2, h_3, ... by composition h_(k+1) = h_k(h_1) where a composition step
+costs fewer mulmods than a powmod, and from `frobenius` otherwise, so they
+build no n x n matrix for a large input.  `dot_mod` is the one overflow rule
+for int64 dot products mod m.
 
 Field elements are plain ints (prime field) or (a, b) tuples (quadratic
 extension, meaning a + b*xi with xi^2 = nonresidue).
@@ -531,6 +540,55 @@ class NPolyModCtx:
         return q
 
 
+class NPolyComposer:
+    """a(g) mod f for a fixed inner polynomial g, by Brent and Kung's
+    baby-step/giant-step modular composition; f is the modulus of ``ctx``,
+    of degree n >= 1.
+
+    The table holds g^0 .. g^(s-1) mod f, s = ceil(sqrt(n)) rows of n
+    entries, plus g^s: s mulmods once, O(n^1.5) memory.  A call cuts a into
+    `steps` = ceil(n / s) chunks of s coefficients, forms every chunk's value
+    at g with one (steps x s) @ (s x n) block product, and joins them by
+    Horner in g^s, steps - 1 mulmods.  The block product is float64 while
+    s * (m - 1)^2 < 2^53, where every partial sum is an integer below 2^53
+    (the argument of `_float_convolve`), and `dot_mod` otherwise, so every
+    modulus up to MAX_MODULUS is exact."""
+
+    def __init__(self, ctx: NPolyModCtx, g: np.ndarray):
+        n, m = ctx.n, ctx.m
+        self.ctx = ctx
+        self.s, self.steps = self.shape(n)
+        table = np.zeros((self.s, n), dtype=np.int64)
+        table[0, 0] = 1
+        self.inner = g = ctx.reduce(g)
+        for i in range(1, self.s):
+            table[i] = ctx.mulmod(table[i - 1], g)
+        self.giant = ctx.mulmod(table[-1], g)
+        self.exact_float = self.s * (m - 1) ** 2 < 2**53
+        self.table = table.astype(np.float64) if self.exact_float else table
+
+    @staticmethod
+    def shape(n: int) -> tuple[int, int]:
+        """(s, steps) for a modulus of degree n."""
+        s = math.isqrt(n - 1) + 1
+        return s, -(-n // s)
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        ctx, s = self.ctx, self.s
+        chunks = np.zeros(self.steps * s, dtype=np.int64)
+        a = ctx.reduce(a)
+        chunks[: len(a)] = a
+        chunks = chunks.reshape(self.steps, s)
+        if self.exact_float:
+            values = (chunks.astype(np.float64) @ self.table).astype(np.int64) % ctx.m
+        else:
+            values = dot_mod(chunks, self.table, ctx.m)
+        acc = values[-1]
+        for row in values[-2::-1]:
+            acc = (ctx.mulmod(acc, self.giant) + row) % ctx.m
+        return acc
+
+
 def npoly_series_inv(a: np.ndarray, prec: int, m: int) -> np.ndarray:
     """Power-series inverse of a (a[0] invertible) to prec terms via Newton."""
     if prec <= 0:
@@ -608,46 +666,112 @@ def _minus_x(h: np.ndarray, m: int) -> np.ndarray:
 def npoly_distinct_degree(f: np.ndarray, m: int,
                           max_degree: int | None = None) -> list[tuple[np.ndarray, int]]:
     """Distinct-degree factorization of a squarefree monic f over F_m:
-    returns (product of all irreducible factors of degree d, d) pairs.
-    With ``max_degree`` only the pairs with d <= max_degree are computed and
-    the factors of higher degree are dropped.
+    returns (product of all irreducible factors of degree d, d) pairs in
+    increasing d.  With ``max_degree`` only the pairs with d <= max_degree
+    are computed and the factors of higher degree are dropped.
 
-    h_d = x^(m^d) is iterated mod the input f by one context's `frobenius`;
-    it is reduced mod the shrinking f only inside the gcd with h_d - x.
+    An irreducible g of degree e divides x^(m^a) - x^(m^b) exactly when
+    e | a - b.  Every h_i = x^(m^i) is kept mod the input f; it is reduced
+    mod a shrinking factor only inside a gcd.
+
+    Uncapped, the loop takes baby steps and giant steps (von zur Gathen &
+    Shoup 1992; Kaltofen & Shoup 1998).  With l = floor(sqrt((n - 1) / 2)) + 1
+    for n = deg f, the baby steps are h_0 = x .. h_(l-1), and the giant
+    steps H_j = h_(lj) = H_(j-1)(H_1) come from one `NPolyComposer` with
+    inner H_1 = h_l.  Giant step j takes one gcd of what is left of f with
+    prod_i (H_j - h_i) mod f: as the factors of degree <= l(j - 1) are gone
+    by then, that is the product of the factors of degree d in
+    (l(j - 1), lj], each dividing H_j - h_(lj-d).  A nontrivial part is
+    refined by gcd(part, H_j - h_(lj-d)) in increasing d, each found
+    product divided out before the next.  Both loops stop once what is left
+    has degree below twice the least degree it can still hold: it is then
+    irreducible.  That is about sqrt(2n) Frobenius steps and compositions
+    and one full gcd per giant step, in place of n/2 of each.
 
     With max_degree = D < deg f, one gcd first cuts f down to f_low =
-    gcd(prod_{d <= D} (h_d - x) mod f, f).  An irreducible g of degree e
-    divides h_d - x exactly when e | d, so g divides the product exactly
-    when e <= D; f is squarefree, so f_low is the product of the irreducible
-    factors of f of degree <= D.  The uncapped loop on f_low, which reuses
-    those h_d, then returns the same monic products, for the same d, in the
-    same order as the capped loop on f would.  It ends by d = D, once every
-    factor of degree <= D is split off."""
+    gcd(prod_{d <= D} (h_d - x) mod f, f), the product of the irreducible
+    factors of degree <= D, and a loop of one gcd per degree on f_low, which
+    reuses those h_d, splits it.
+
+    Both paths get h_1 by `frobenius`, and h_2, h_3, ... as compositions
+    h_(k+1) = h_k(h_1) where a composition step, ceil(n / s) mulmods with
+    s = ceil(sqrt(n)), costs fewer than a powmod's `_powmod_cost`
+    (n below about 1100 at m near 10^6), and by `frobenius` otherwise.
+    Either way no n x n Frobenius matrix is built unless n is below that
+    cost: `frobenius` builds one only after calls costing n mulmods, and
+    l steps of cost c stay below n once n >= c^2."""
     f = _npoly_monic(np.asarray(f, dtype=np.int64) % m, m)
-    if len(f) < 2:
+    n = len(f) - 1
+    if n < 1 or (max_degree is not None and max_degree < 1):
         return []
+    if n == 1:
+        return [(f, 1)]
     ctx = NPolyModCtx(f, m)
-    h = np.array([0, 1], dtype=np.int64)
-    low = []  # h_1 .. h_D when capped
-    if max_degree is not None and max_degree < len(f) - 1:
-        prod = np.ones(1, dtype=np.int64)
-        for _ in range(max_degree):
-            h = ctx.frobenius(h)
-            low.append(h)
-            prod = ctx.mulmod(prod, _minus_x(h, m))
-        f = npoly_gcd(prod, f, m)
+    x = ctx.reduce(np.array([0, 1], dtype=np.int64))
+    if max_degree is None or max_degree >= n:
+        return _distinct_degree_bsgs(ctx, x)
+    low = _frobenius_powers(ctx, x, max_degree)  # h_1 .. h_D
+    prod = _minus_x(low[0], m)
+    for h in low[1:]:
+        prod = ctx.mulmod(prod, _minus_x(h, m))
+    f = npoly_gcd(prod, f, m)
     out = []
-    d = 0
-    while len(f) - 1 > 0:
-        d += 1
+    for d, h in enumerate(low, 1):
         if len(f) - 1 < 2 * d:
-            out.append((f, len(f) - 1))
+            if len(f) > 1:
+                out.append((f, len(f) - 1))
             break
-        h = low[d - 1] if low else ctx.frobenius(h)
         g = npoly_gcd(_minus_x(h, m), f, m)
         if len(g) > 1:
             out.append((g, d))
             f = npoly_divrem(f, g, m)[0]
+    return out
+
+
+def _frobenius_powers(ctx: NPolyModCtx, x: np.ndarray, count: int) -> list[np.ndarray]:
+    """h_1 .. h_count for h_k = x^(m^k) mod ctx.f: h_1 by `frobenius`, the
+    rest as compositions h_(k+1) = h_k(h_1) where a composition step costs
+    fewer mulmods than a powmod, and by `frobenius` otherwise."""
+    out = [ctx.frobenius(x)]
+    step = ctx.frobenius
+    if count > 1 and NPolyComposer.shape(ctx.n)[1] < ctx._powmod_cost:
+        step = NPolyComposer(ctx, out[0])
+    while len(out) < count:
+        out.append(step(out[-1]))
+    return out
+
+
+def _distinct_degree_bsgs(ctx: NPolyModCtx, x: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """The uncapped loop of `npoly_distinct_degree` on f = ctx.f, of degree
+    n >= 2, by baby steps and giant steps."""
+    f, m = ctx.f, ctx.m
+    steps = math.isqrt((ctx.n - 1) // 2) + 1
+    baby = [x] + _frobenius_powers(ctx, x, steps)
+    compose = NPolyComposer(ctx, baby.pop())
+    giant = None
+    out = []
+    top = 0  # every factor of degree <= top is split off
+    while len(f) - 1 >= 2 * (top + 1):
+        giant = compose.inner if giant is None else compose(giant)
+        top += steps
+        prod = (giant - baby[0]) % m
+        for h in baby[1:]:
+            prod = ctx.mulmod(prod, (giant - h) % m)
+        part = npoly_gcd(prod, f, m)
+        if len(part) == 1:
+            continue
+        f = npoly_divrem(f, part, m)[0]
+        d = top - steps
+        while d < top and len(part) - 1 >= 2 * (d + 1):
+            d += 1
+            g = npoly_gcd((giant - baby[top - d]) % m, part, m)
+            if len(g) > 1:
+                out.append((g, d))
+                part = npoly_divrem(part, g, m)[0]
+        if len(part) > 1:
+            out.append((part, len(part) - 1))
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,6 +417,117 @@ def test_capped_distinct_degree_takes_one_full_gcd(rng, monkeypatch):
         assert sum(full) == 1, degrees
         low = sorted({d for d in degrees if d <= cap})
         assert [d for _, d in got] == low
+
+
+def _giant_step(n):
+    """l = floor(sqrt((n - 1) / 2)) + 1, the giant-step length of the
+    uncapped distinct-degree loop on a degree-n input."""
+    return math.isqrt((n - 1) // 2) + 1
+
+
+def _edge_degrees(n):
+    """Factor degrees on both sides of the giant-step edges lj and lj + 1,
+    then what is left in factors of degree at most 40, summing to n."""
+    step, out = _giant_step(n), []
+    for j in range(1, n):
+        if sum(out) + 2 * step * j + 1 > n:
+            break
+        out += [step * j, step * j + 1]
+    while sum(out) < n:
+        out.append(min(40, n - sum(out)))
+    return out
+
+
+def _fast_irreducible(rng, d, m, avoid=()):
+    """A random monic irreducible of degree d, certified by the package's
+    Rabin test (which test_rabin_matches_oracle checks against the oracle)."""
+    while True:
+        g = _monic_random(rng, d, m)
+        if gf.npoly_rabin_irreducible(g, m) and g.tolist() not in avoid:
+            return g
+
+
+def test_distinct_degree_matches_oracle_across_giant_steps(rng):
+    # at 101 and n = 130 a composition step (11 mulmods) is not cheaper than
+    # a powmod (11), so the capped path keeps `frobenius`; at 999983 and
+    # 2^30 - 35 it composes, in float64 and through dot_mod respectively
+    cases = [(101, _edge_degrees(130)), (999983, _edge_degrees(200)),
+             (2**30 - 35, _edge_degrees(90))]
+    assert cases[1][1] == [10, 11, 20, 21, 30, 31, 40, 37]
+    for m in (101, 999983, 2**30 - 35):
+        cases.append((m, [1] * 30))
+        cases.append((m, [37]))
+    for m, degrees in cases:
+        parts = []
+        for d in degrees:
+            parts.append(_fast_irreducible(rng, d, m, [g.tolist() for g in parts]))
+        f = _product(parts, m)
+        step = _giant_step(len(f) - 1)
+        for cap in (None, 1, 6, step, step + 1):
+            got = gf.npoly_distinct_degree(f, m, max_degree=cap)
+            want = oracles.distinct_degree_ref(f, m, max_degree=cap)
+            assert [(g.tolist(), d) for g, d in got] == [(g.tolist(), d) for g, d in want]
+        assert [d for _, d in gf.npoly_distinct_degree(f, m)] == sorted(set(degrees))
+
+
+def test_uncapped_distinct_degree_takes_sqrt_n_gcds_and_no_frobenius_matrix(monkeypatch):
+    # a random input of a 30011-sized block: the loop takes one gcd per giant
+    # step plus the refinements of its few nontrivial parts, where one gcd per
+    # degree would take hundreds, and builds no n x n Frobenius matrix
+    m, n = 999983, 1300
+    pick = np.random.default_rng(0)
+    f = _monic_random(pick, n, m)
+    assert len(gf.npoly_gcd(f, gf.npoly_derivative(f, m), m)) == 1
+    gcd, calls, builds = gf.npoly_gcd, [], []
+    monkeypatch.setattr(gf, "npoly_gcd", lambda a, b, m: (calls.append(len(b)), gcd(a, b, m))[1])
+    monkeypatch.setattr(gf.NPolyModCtx, "_build_frobenius_matrix",
+                        lambda self: builds.append(self.n))
+    got = gf.npoly_distinct_degree(f, m)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * _giant_step(n) == 52
+    assert builds == []
+    assert [d for _, d in got] == sorted({d for _, d in got})
+    assert all((len(g) - 1) % d == 0 for g, d in got)
+    assert _product([g for g, _ in got], m).tolist() == f.tolist()
+
+
+def test_frobenius_steps_compose_only_where_cheaper_than_a_powmod(rng, monkeypatch):
+    # a powmod costs 11 mulmods at 101, 34 at 999983; a composition step
+    # ceil(n / s), s = ceil(sqrt(n)): 11 at n = 130, 36 at n = 1300, 14 at
+    # n = 200.  Only the giant steps compose when a step costs more.
+    built = []
+    init = gf.NPolyComposer.__init__
+    monkeypatch.setattr(gf.NPolyComposer, "__init__",
+                        lambda self, ctx, g: (built.append(ctx.n), init(self, ctx, g))[1])
+    for m, n, cap, want in ((101, 130, 6, []), (999983, 200, 6, [200]),
+                            (999983, 1300, 6, []), (999983, 1300, None, [1300]),
+                            (2**30 - 35, 1300, 6, [1300])):
+        built.clear()
+        gf.npoly_distinct_degree(_monic_random(rng, n, m), m, max_degree=cap)
+        assert built == want, (m, n, cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 130])
+def test_composer_matches_repeated_mulmod_powers(rng, n):
+    # a(g) mod f against Horner in g with mulmod, at moduli just below and
+    # just above the float64 bound s (m - 1)^2 < 2^53 of the block product,
+    # and at 101, 999983 and 2^30 - 35
+    s = math.isqrt(n - 1) + 1
+    edge = math.isqrt((2**53 - 1) // s) + 1  # least m - 1 with s (m - 1)^2 >= 2^53
+    below = next(m for m in range(edge, 2, -1) if gf.is_probable_prime(m))
+    above = next(m for m in range(edge + 2, 2 * edge) if gf.is_probable_prime(m))
+    for m in (101, 999983, below, above, 2**30 - 35):
+        ctx = gf.NPolyModCtx(_monic_random(rng, n, m), m)
+        g = rng.integers(0, m, n + 3)  # reduced by the composer
+        compose = gf.NPolyComposer(ctx, g)
+        assert (compose.s, compose.steps) == (s, -(-n // s))
+        assert compose.exact_float == (m <= below)
+        for a in (rng.integers(0, m, n), np.full(n, m - 1), np.zeros(0, dtype=np.int64)):
+            want = np.zeros(n, dtype=np.int64)
+            for c in a[::-1]:
+                want = ctx.mulmod(want, g)
+                want[0] = (want[0] + c) % m
+            assert compose(a).tolist() == want.tolist()
 
 
 def test_equal_degree_split_matches_oracle_and_its_draws(rng):
