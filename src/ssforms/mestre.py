@@ -17,6 +17,7 @@ eigenvector with entries in the Hecke field is ever formed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -26,6 +27,9 @@ from .lift import GaloisOrbit
 from .linalg import SparseSignedMatrix, inv_mod, rank_mod
 
 PRECISION_GUARD = 8
+# composite probes n <= this back up the beta solve when the probe primes
+# leave the psi matrix singular
+COMPOSITE_PROBES_UPTO = 16
 
 
 class MestreError(RuntimeError):
@@ -204,25 +208,39 @@ class BetaSolve:
 
 
 def solve_beta(alpha_columns: dict[int, list[int]], psis: list[series.PowerSeries],
-               p: int) -> BetaSolve:
+               p: int, more_probes: Callable[[], dict[int, list[int]]] | None = None
+               ) -> BetaSolve:
     """Solve alpha = beta psi (mod p) column by column over the probe primes,
-    extending the probe set whenever the system is singular."""
+    extending the probe set whenever the system is singular.  When every
+    prime leaves it singular, ``more_probes()`` supplies further columns,
+    such as the composite probes of ``composite_probes``; those within the
+    precision of the psis are tried next."""
     k = len(psis)
     probes = sorted(alpha_columns)
     if len(probes) < k:
         raise MestreError("not enough probe eigenvalues for the beta solve")
     chosen: list[int] = []
     rows: list[np.ndarray] = []
-    for ell in probes:
-        col = np.array([psi.coeff(ell) for psi in psis], dtype=np.int64) % p
-        if rank_mod(np.array(rows + [col], dtype=np.int64), p) > len(rows):
-            rows.append(col)
-            chosen.append(ell)
-        if len(chosen) == k:
-            break
+
+    def choose(candidates):
+        for ell in candidates:
+            if len(chosen) == k:
+                return
+            col = np.array([psi.coeff(ell) for psi in psis], dtype=np.int64) % p
+            if rank_mod(np.array(rows + [col], dtype=np.int64), p) > len(rows):
+                rows.append(col)
+                chosen.append(ell)
+
+    choose(probes)
+    if len(chosen) < k and more_probes is not None:
+        absprec = min(psi.absprec for psi in psis)
+        extra = {n: col for n, col in more_probes().items() if n < absprec}
+        alpha_columns = {**alpha_columns, **extra}
+        choose(sorted(extra))
+        probes = sorted(alpha_columns)
     if len(chosen) < k:
         raise MestreError(
-            f"psi probe matrix is singular at every prime in {probes}"
+            f"psi probe matrix is singular at every probe in {probes}"
         )
     psi_mat = np.array(rows, dtype=np.int64).T % p  # k x k: psi_j[ell_i]
     alpha_mat = np.array([alpha_columns[ell] for ell in chosen], dtype=np.int64).T % p
@@ -237,6 +255,21 @@ def solve_beta(alpha_columns: dict[int, list[int]], psis: list[series.PowerSerie
         if ((beta @ col - want) % p).any():
             raise MestreError(f"beta solve inconsistent at held-out probe {ell}")
     return BetaSolve(chosen, alpha_mat, psi_mat, beta)
+
+
+def composite_probes(exact: dict[int, tuple], fld: numfield.NumberField,
+                     p: int) -> dict[int, tuple]:
+    """The exact a_n of every composite n <= COMPOSITE_PROBES_UPTO whose
+    prime factors all have an exact a_ell in ``exact``, by Hecke
+    multiplicativity, as ``q_expansion`` forms them: a_(ell^2) =
+    a_ell^2 - ell, a_(mn) = a_m a_n."""
+    avals = {1: fld.one, **exact}
+    out = {}
+    for n in range(4, COMPOSITE_PROBES_UPTO + 1):
+        if n in avals or any(q not in exact for q in _prime_factors(n)):
+            continue
+        avals[n] = out[n] = _multiplicative_value(n, avals, fld, p)
+    return out
 
 
 @dataclass
@@ -331,20 +364,7 @@ def q_expansion(orbit: GaloisOrbit, hecke: HeckeField, beta: BetaSolve,
     for n in range(2, n_coeffs + 1):
         if n in avals:
             continue
-        m = _smallest_prime_factor(n)
-        k = 1
-        while n % (m ** (k + 1)) == 0:
-            k += 1
-        mk = m**k
-        if mk == n and k >= 2:
-            if m == p:
-                elt = fld.pow(fld.scale(fld.one, a_p), k)
-            else:
-                prev1 = avals[mk // m]
-                prev2 = avals[mk // (m * m)]
-                elt = fld.sub(fld.mul(avals[m], prev1), fld.scale(prev2, m))
-        else:
-            elt = fld.mul(avals[mk], avals[n // mk])
+        elt = _multiplicative_value(n, avals, fld, p)
         coords = hecke.to_basis_coords(elt)
         check_mod_p(n, coords)
         avals[n] = elt
@@ -352,6 +372,31 @@ def q_expansion(orbit: GaloisOrbit, hecke: HeckeField, beta: BetaSolve,
 
     coeffs = [coords_out[n] for n in range(1, n_coeffs + 1)]
     return QExpansion(orbit.level, orbit.block, orbit.rho, hecke, coeffs, a_p)
+
+
+def _multiplicative_value(n: int, avals: dict, fld: numfield.NumberField, p: int):
+    """a_n for a composite n from the a_m in avals of its divisors m < n:
+    a_(p^k) = a_p^k, a_(ell^k) = a_ell a_(ell^(k-1)) - ell a_(ell^(k-2)) for
+    ell != p, and a_(mn) = a_m a_n for coprime m and n."""
+    m = _smallest_prime_factor(n)
+    k = 1
+    while n % (m ** (k + 1)) == 0:
+        k += 1
+    mk = m**k
+    if mk != n:
+        return fld.mul(avals[mk], avals[n // mk])
+    if m == p:
+        return fld.pow(avals[p], k)
+    return fld.sub(fld.mul(avals[m], avals[mk // m]), fld.scale(avals[mk // (m * m)], m))
+
+
+def _prime_factors(n: int) -> set[int]:
+    out = set()
+    while n > 1:
+        q = _smallest_prime_factor(n)
+        out.add(q)
+        n //= q
+    return out
 
 
 def _smallest_prime_factor(n: int) -> int:

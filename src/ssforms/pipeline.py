@@ -285,7 +285,10 @@ def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng, prov: dict):
             a_ell = mestre.eigenvalue_of(powers, store.block(ell, orbit.block), fld)
             alpha_cols[ell] = hecke.to_basis_coords(a_ell)
             exact[ell] = a_ell
-        beta = mestre.solve_beta(alpha_cols, psis, p)
+        beta = mestre.solve_beta(
+            alpha_cols, psis, p,
+            lambda: {n: hecke.to_basis_coords(a)
+                     for n, a in mestre.composite_probes(exact, fld, p).items()})
         qe = mestre.q_expansion(orbit, hecke, beta, psis, n_coeffs, p, exact)
         log.info("stage=qexp p=%d block=%s dim=%d disc=%d probes=%s dt=%.2fs",
                  p, orbit.block, orbit.dim, hecke.disc, beta.probes,

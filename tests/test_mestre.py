@@ -180,6 +180,38 @@ def test_solve_beta_inconsistent_raises():
         mestre.solve_beta({2: [0], 3: [10], 5: [15]}, [psi], p)
 
 
+def test_solve_beta_takes_composite_probes_only_when_the_primes_are_singular():
+    # psi vanishes at 2, 3 and 5 but not at 4: the primes leave the system
+    # singular, and the composite columns are asked for only then
+    p = 101
+    psi = series.PowerSeries(p, 4, [5, 0, 7], 10)  # psi[4] = 5, psi[6] = 7
+    alpha = {2: [0], 3: [0], 5: [0]}
+    with pytest.raises(mestre.MestreError, match="singular at every probe"):
+        mestre.solve_beta(alpha, [psi], p)
+    bs = mestre.solve_beta(alpha, [psi], p, lambda: {4: [10], 6: [14], 12: [1]})
+    assert bs.probes == [4]
+    assert bs.beta.tolist() == [[2]]
+    with pytest.raises(mestre.MestreError, match="held-out probe 6"):
+        mestre.solve_beta(alpha, [psi], p, lambda: {4: [10], 6: [15]})
+
+    def unused():
+        raise AssertionError("composite probes asked for with a regular prime system")
+
+    bs = mestre.solve_beta({2: [0], 3: [0], 5: [14]}, [series.PowerSeries(p, 5, [7], 10)],
+                           p, unused)
+    assert bs.probes == [5]
+
+
+def test_composite_probes_follow_multiplicativity():
+    # the newform of level 11: a_2 = -2, a_3 = -1, and a_5 unknown here, so
+    # 10 and 15 are left out
+    fld = numfield.NumberField([2, 1])
+    exact = {2: fld.elt([-2]), 3: fld.elt([-1])}
+    got = mestre.composite_probes(exact, fld, 11)
+    assert {n: int(v[0]) for n, v in got.items()} == {
+        4: 2, 6: 2, 8: 0, 9: -2, 12: -2, 16: -4}
+
+
 def test_q_expansion_hecke_relation_p23(rng):
     from ssforms import pipeline
 

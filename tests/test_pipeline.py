@@ -51,6 +51,16 @@ def test_orbit_above_gmax_is_listed_not_expanded():
     assert not any("above_gmax" in blk for blk in rep.blocks.values())
 
 
+def test_level_1301_solves_beta_with_a_composite_probe():
+    # the psi rows of its dimension-4 orbit at the primes 2..13 have rank 3
+    # mod p; the composite probe 4, with a_4 = a_2^2 - 2, completes them
+    rep = pipeline.run_level(1301, pipeline.RunConfig(level=1301, seed=0))
+    assert rep.status == "ok", rep.error
+    (rec,) = rep.records
+    assert rec["dim"] == 4 and rec["field_disc"] == "2777"
+    assert rec["provenance"]["probes"] == [2, 3, 11, 4]
+
+
 def test_j_series_once_per_level_and_only_for_an_orbit(monkeypatch):
     calls = []
     real = series.j_series
