@@ -560,7 +560,7 @@ class NPolyComposer:
         self.s, self.steps = self.shape(n)
         table = np.zeros((self.s, n), dtype=np.int64)
         table[0, 0] = 1
-        self.inner = g = ctx.reduce(g)
+        g = ctx.reduce(g)
         for i in range(1, self.s):
             table[i] = ctx.mulmod(table[i - 1], g)
         self.giant = ctx.mulmod(table[-1], g)
@@ -745,15 +745,16 @@ def _distinct_degree_bsgs(ctx: NPolyModCtx, x: np.ndarray) -> list[tuple[np.ndar
     """The uncapped loop of `npoly_distinct_degree` on f = ctx.f, of degree
     n >= 2, by baby steps and giant steps."""
     f, m = ctx.f, ctx.m
-    steps = math.isqrt((ctx.n - 1) // 2) + 1
-    baby = [x] + _frobenius_powers(ctx, x, steps)
-    compose = NPolyComposer(ctx, baby.pop())
+    stride = math.isqrt((ctx.n - 1) // 2) + 1  # l
+    baby = [x] + _frobenius_powers(ctx, x, stride)
+    first = baby.pop()  # H_1 = h_l
+    compose = NPolyComposer(ctx, first)
     giant = None
     out = []
     top = 0  # every factor of degree <= top is split off
     while len(f) - 1 >= 2 * (top + 1):
-        giant = compose.inner if giant is None else compose(giant)
-        top += steps
+        giant = first if giant is None else compose(giant)
+        top += stride
         prod = (giant - baby[0]) % m
         for h in baby[1:]:
             prod = ctx.mulmod(prod, (giant - h) % m)
@@ -761,7 +762,7 @@ def _distinct_degree_bsgs(ctx: NPolyModCtx, x: np.ndarray) -> list[tuple[np.ndar
         if len(part) == 1:
             continue
         f = npoly_divrem(f, part, m)[0]
-        d = top - steps
+        d = top - stride
         while d < top and len(part) - 1 >= 2 * (d + 1):
             d += 1
             g = npoly_gcd((giant - baby[top - d]) % m, part, m)
