@@ -26,9 +26,10 @@ and giant steps H_j = x^(m^(lj)) = H_(j-1)(H_1), with one gcd per giant step
 on prod_i (H_j - h_i) (von zur Gathen & Shoup 1992); capped at degree D it
 first cuts f to its factors of degree <= D with one gcd.  Both get
 h_2, h_3, ... by composition h_(k+1) = h_k(h_1) where a composition step
-costs fewer mulmods than a powmod, and from `frobenius` otherwise, so they
-build no n x n matrix for a large input.  `dot_mod` is the one overflow rule
-for int64 dot products mod m.
+costs fewer mulmods than a powmod and the first `frobenius` call built no
+matrix, and from `frobenius` otherwise, so they build no n x n matrix for a
+large input.  `dot_mod` is the one overflow rule for int64 dot products
+mod m.
 
 Field elements are plain ints (prime field) or (a, b) tuples (quadratic
 extension, meaning a + b*xi with xi^2 = nonresidue).
@@ -696,7 +697,8 @@ def npoly_distinct_degree(f: np.ndarray, m: int,
     Both paths get h_1 by `frobenius`, and h_2, h_3, ... as compositions
     h_(k+1) = h_k(h_1) where a composition step, ceil(n / s) mulmods with
     s = ceil(sqrt(n)), costs fewer than a powmod's `_powmod_cost`
-    (n below about 1100 at m near 10^6), and by `frobenius` otherwise.
+    (n below about 1100 at m near 10^6), and by `frobenius` otherwise or
+    when its first call has built the matrix (n at most that cost).
     Either way no n x n Frobenius matrix is built unless n is below that
     cost: `frobenius` builds one only after calls costing n mulmods, and
     l steps of cost c stay below n once n >= c^2."""
@@ -731,10 +733,13 @@ def npoly_distinct_degree(f: np.ndarray, m: int,
 def _frobenius_powers(ctx: NPolyModCtx, x: np.ndarray, count: int) -> list[np.ndarray]:
     """h_1 .. h_count for h_k = x^(m^k) mod ctx.f: h_1 by `frobenius`, the
     rest as compositions h_(k+1) = h_k(h_1) where a composition step costs
-    fewer mulmods than a powmod, and by `frobenius` otherwise."""
+    fewer mulmods than a powmod, and by `frobenius` otherwise or once that
+    first call has built the Frobenius matrix (n at most a powmod's cost),
+    after which a step is one n x n product."""
     out = [ctx.frobenius(x)]
     step = ctx.frobenius
-    if count > 1 and NPolyComposer.shape(ctx.n)[1] < ctx._powmod_cost:
+    if (count > 1 and ctx._frob_matrix is None
+            and NPolyComposer.shape(ctx.n)[1] < ctx._powmod_cost):
         step = NPolyComposer(ctx, out[0])
     while len(out) < count:
         out.append(step(out[-1]))

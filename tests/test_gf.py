@@ -494,12 +494,14 @@ def test_uncapped_distinct_degree_takes_sqrt_n_gcds_and_no_frobenius_matrix(monk
 def test_frobenius_steps_compose_only_where_cheaper_than_a_powmod(rng, monkeypatch):
     # a powmod costs 11 mulmods at 101, 34 at 999983; a composition step
     # ceil(n / s), s = ceil(sqrt(n)): 11 at n = 130, 36 at n = 1300, 14 at
-    # n = 200.  Only the giant steps compose when a step costs more.
+    # n = 200.  Only the giant steps compose when a step costs more, or when
+    # the first Frobenius call has built the matrix (n = 30 <= 34).
     built = []
     init = gf.NPolyComposer.__init__
     monkeypatch.setattr(gf.NPolyComposer, "__init__",
                         lambda self, ctx, g: (built.append(ctx.n), init(self, ctx, g))[1])
     for m, n, cap, want in ((101, 130, 6, []), (999983, 200, 6, [200]),
+                            (999983, 30, 6, []), (999983, 30, None, [30]),
                             (999983, 1300, 6, []), (999983, 1300, None, [1300]),
                             (2**30 - 35, 1300, 6, [1300])):
         built.clear()
