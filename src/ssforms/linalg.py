@@ -215,10 +215,14 @@ class CharpolyRecord:
 
 
 def _random_start_vector(n: int, density: int, rng, nu: int) -> np.ndarray:
+    """Uniform nonzero values at `density` random positions, or uniform
+    entries, not all zero, when n <= density.  (Ones at those positions made
+    a vector nearly constant for n a little above density, blind to
+    eigenvectors antisymmetric on a few coordinates.)"""
     if density < n:
         u = np.zeros(n, dtype=np.int64)
         pos = rng.choice(n, size=density, replace=False)
-        u[pos] = 1
+        u[pos] = rng.integers(1, nu, density)
         return u
     # matrices smaller than the density: uniform entries, retrying zero
     while True:

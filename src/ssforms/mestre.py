@@ -48,18 +48,15 @@ class HeckeField:
     basis: list                  # integral basis, power-basis Fraction tuples
     basis_inverse: list          # rows: power-basis coordinates -> basis coordinates
     disc: int
-    reduction_root: int | None   # root of poly mod p, when one exists
 
     @classmethod
-    def build(cls, h: tuple, p: int, rng) -> "HeckeField":
+    def build(cls, h: tuple) -> "HeckeField":
         basis, disc = numfield.integral_basis(list(h))
         fld = numfield.NumberField(list(h))
         d = fld.deg
         inverse = numfield.solve([[b[i] for b in basis] for i in range(d)],
                                  np.identity(d, dtype=np.int64))
-        hp = np.array([int(c) % p for c in h], dtype=np.int64)
-        roots = gf.npoly_linear_roots(hp, p, rng)
-        return cls(h, fld, basis, inverse, disc, roots[0] if roots else None)
+        return cls(h, fld, basis, inverse, disc)
 
     def to_basis_coords(self, elt) -> list[int]:
         """Integer coordinates of an algebraic integer in the integral basis."""

@@ -267,7 +267,7 @@ def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng, prov: dict):
             continue
         j, jp = store.j_series(prec + 4)
         t0 = time.monotonic()
-        hecke = mestre.HeckeField.build(orbit.field_poly, p, rng)
+        hecke = mestre.HeckeField.build(orbit.field_poly)
         fld = hecke.field
         psis = [
             mestre.mestre_rhs(np.array(u, dtype=np.int64), orbit.block, store.sset,

@@ -219,6 +219,19 @@ def test_wiedemann_examples(rng):
     assert mu.tolist() == [2, 98, 1]  # t^2 - 3t + 2
 
 
+def test_start_vectors_just_above_density_see_every_eigenvalue():
+    # a 51 x 51 matrix of acceptance 5's generator (components of sizes 1, 1,
+    # 3, 9, 9, 14, 14): with density 50, start vectors of ones at 50
+    # positions were nearly constant, and hecke_charpoly failed at 8 of these
+    # 20 seeds; uniform nonzero values there miss no eigenvalue
+    A = random_sparse_matrix(np.random.default_rng(3284), nmax=60)
+    assert A.shape == (51, 51) and linalg.WiedemannParams().density == 50
+    M = linalg.SparseSignedMatrix.from_dense(A)
+    for seed in range(20):
+        rec = linalg.hecke_charpoly(M, linalg.WiedemannParams(), np.random.default_rng(seed))
+        assert rec.chi.tolist() == oracles.hessenberg_charpoly_mod(A, rec.nu).tolist()
+
+
 def test_shift_invariance(rng):
     A = np.diag([1, 2, 3, 4, 5]).astype(np.int64)
     M = linalg.SparseSignedMatrix.from_dense(A)

@@ -153,7 +153,7 @@ def test_eigenvalue_of_examples(rng):
 
 
 def test_hecke_field_build(rng):
-    h = mestre.HeckeField.build((-1, 1, 1), 23, rng)
+    h = mestre.HeckeField.build((-1, 1, 1))
     assert h.disc == 5
     assert h.basis[0] == (Fraction(1), Fraction(0))
     # coordinates round trip
@@ -246,7 +246,7 @@ def test_ambiguous_lift_aborts(rng):
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     orbit = lift.GaloisOrbit(level=11, block="minus", rho=(2, 1), multiplicity=1,
                              dim=1, field_poly=(2, 1), basis=[v.tolist()], sep_ell=2)
-    hecke = mestre.HeckeField.build((2, 1), 11, rng)
+    hecke = mestre.HeckeField.build((2, 1))
     j, jp = series.j_series(11, 40)
     psi = mestre.mestre_rhs(v, "minus", sset, al.minus_orbits, j, jp, 30)
     fld = hecke.field

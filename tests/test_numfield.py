@@ -135,7 +135,7 @@ HECKE_FIELDS = [
 
 @pytest.mark.parametrize("level, h", HECKE_FIELDS)
 def test_integral_basis_and_basis_coordinates(level, h, rng):
-    hecke = mestre.HeckeField.build(h, level, rng)
+    hecke = mestre.HeckeField.build(h)
     fld, basis, d = hecke.field, hecke.basis, len(h) - 1
     assert basis[0] == fld.one
     mat = [[b[i] for b in basis] for i in range(d)]  # power-basis rows
