@@ -6,9 +6,11 @@
     python scripts/scale_smoke.py 10007 --sieve on
     python scripts/scale_smoke.py 389 10007 10061 30011
     python scripts/scale_smoke.py --ladder           # the above, then 10007 with the sieve
+    python scripts/scale_smoke.py --ladder-large     # 1000003 (no orbit), 997813 (one orbit)
 
 With more than one level, each runs in its own child process, one after the
-other, so that each peak RSS is that level's alone.
+other, so that each peak RSS is that level's alone.  The large ladder takes
+tens of minutes and peaks above 1 GB, so no test runs it.
 """
 
 import argparse
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ssforms import pipeline  # noqa: E402
 
 LADDER = [(389, False), (10007, False), (10061, False), (30011, False), (10007, True)]
+LADDER_LARGE = [(1000003, False), (997813, False)]
 
 
 def run_one(p: int, sieve: bool) -> int:
@@ -47,10 +50,14 @@ def main(argv=None) -> int:
                     help="run the degree sieve on the listed levels")
     ap.add_argument("--ladder", action="store_true",
                     help="also run 389, 10007, 10061, 30011 and 10007 with the sieve")
+    ap.add_argument("--ladder-large", action="store_true",
+                    help="also run 1000003 and 997813, each in its own process")
     args = ap.parse_args(argv)
     runs = [(p, args.sieve == "on") for p in args.levels]
     if args.ladder:
         runs += LADDER
+    if args.ladder_large:
+        runs += LADDER_LARGE
     if not runs:
         runs = [(10007, False)]
     if len(runs) == 1:

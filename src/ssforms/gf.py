@@ -21,6 +21,10 @@ splitting iterate it instead of paying a full `powmod` per step.
 modular composition: a table of g^0 .. g^(s-1), s = ceil(sqrt(n)), O(n^1.5)
 memory, one block product per call, exact in float64 while
 s * (m - 1)^2 < 2^53 and through `dot_mod` above, and ceil(n / s) mulmods.
+It cuts a mod f first, which needs f(g) = 0 mod f.  It is the package's one
+Brent-Kung composition: `series.brent_kung_compose` runs it modulo x^N, a
+monomial modulus that `NPolyModCtx` reduces by truncation, with no Newton
+inverse.
 Distinct-degree factoring takes baby steps h_i = x^(m^i), i < l ~ sqrt(n/2),
 and giant steps H_j = x^(m^(lj)) = H_(j-1)(H_1), with one gcd per giant step
 on prod_i (H_j - h_i) (von zur Gathen & Shoup 1992); capped at degree D it
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from sympy import primefactors
 
 # Single machine-word safety threshold: moduli above this are rejected by the
 # pipeline.  Every modulus up to it is exact in `npoly_mul` (three 10-bit limbs
@@ -465,7 +470,9 @@ def npoly_divrem(a: np.ndarray, b: np.ndarray, m: int):
 class NPolyModCtx:
     """Repeated multiplication mod a fixed monic f over F_m, with a
     precomputed Newton inverse of the reversed modulus for fast reduction and,
-    once repeated Frobenius calls pay for it, the Frobenius matrix."""
+    once repeated Frobenius calls pay for it, the Frobenius matrix.  A
+    monomial f = x^n is recognised from its coefficients: reduction is then
+    truncation, and no Newton inverse is built."""
 
     def __init__(self, f: np.ndarray, m: int):
         f = npoly_trim(np.asarray(f, dtype=np.int64) % m)
@@ -476,15 +483,20 @@ class NPolyModCtx:
         self.f = f
         self.m = m
         self.n = len(f) - 1
-        rev = f[::-1].copy()
-        self.rev_inv = npoly_series_inv(rev, self.n, m) if self.n > 0 else None
+        self.monomial = not f[:-1].any()
+        self.rev_inv = None if self.monomial else npoly_series_inv(f[::-1].copy(), self.n, m)
         self._powmod_cost = m.bit_length() + bin(m).count("1")
         self._frob_calls = 0
         self._frob_matrix: np.ndarray | None = None
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        a = npoly_trim(np.asarray(a, dtype=np.int64) % self.m)
         n, m = self.n, self.m
+        if self.monomial:
+            a = np.asarray(a, dtype=np.int64)[:n]
+            out = np.zeros(n, dtype=np.int64)
+            np.remainder(a, m, out=out[: len(a)])
+            return out
+        a = npoly_trim(np.asarray(a, dtype=np.int64) % m)
         if len(a) <= n:
             out = np.zeros(n, dtype=np.int64)
             out[: len(a)] = a
@@ -502,6 +514,9 @@ class NPolyModCtx:
         return out
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.monomial:  # truncation; a product's entries are already in [0, m)
+            prod = npoly_mul(a, b, self.m)
+            return prod[: self.n] if len(prod) >= self.n else self.reduce(prod)
         return self.reduce(npoly_mul(npoly_trim(a), npoly_trim(b), self.m))
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
@@ -546,27 +561,35 @@ class NPolyComposer:
     baby-step/giant-step modular composition; f is the modulus of ``ctx``,
     of degree n >= 1.
 
+    Precondition: f(g) = 0 mod f.  A call reduces the outer polynomial a
+    mod f before composing, which changes nothing exactly when f(g) = 0 mod
+    f.  That holds for g = x^(m^k) mod f, since f(x^(m^k)) = f(x)^(m^k), and
+    for f = x^n and g of valuation >= 1, since then g^n = 0 mod x^n.
+
     The table holds g^0 .. g^(s-1) mod f, s = ceil(sqrt(n)) rows of n
-    entries, plus g^s: s mulmods once, O(n^1.5) memory.  A call cuts a into
-    `steps` = ceil(n / s) chunks of s coefficients, forms every chunk's value
-    at g with one (steps x s) @ (s x n) block product, and joins them by
-    Horner in g^s, steps - 1 mulmods.  The block product is float64 while
+    entries, plus g^s: s - 1 mulmods once, O(n^1.5) memory.  A call cuts a
+    into `steps` = ceil(n / s) chunks of s coefficients, forms every chunk's
+    value at g with one (steps x s) @ (s x n) block product, and joins them
+    by Horner in g^s, steps - 1 mulmods.  The block product is float64 while
     s * (m - 1)^2 < 2^53, where every partial sum is an integer below 2^53
     (the argument of `_float_convolve`), and `dot_mod` otherwise, so every
-    modulus up to MAX_MODULUS is exact."""
+    modulus up to MAX_MODULUS is exact.  On the float path the table is
+    built in float64 with no int64 copy, and Horner reduces each row of the
+    product mod m as it adds it, in int64, so no reduced copy of the product
+    exists."""
 
     def __init__(self, ctx: NPolyModCtx, g: np.ndarray):
         n, m = ctx.n, ctx.m
         self.ctx = ctx
         self.s, self.steps = self.shape(n)
-        table = np.zeros((self.s, n), dtype=np.int64)
-        table[0, 0] = 1
-        g = ctx.reduce(g)
-        for i in range(1, self.s):
-            table[i] = ctx.mulmod(table[i - 1], g)
-        self.giant = ctx.mulmod(table[-1], g)
         self.exact_float = self.s * (m - 1) ** 2 < 2**53
-        self.table = table.astype(np.float64) if self.exact_float else table
+        self.table = np.zeros((self.s, n), dtype=np.float64 if self.exact_float else np.int64)
+        self.table[0, 0] = 1
+        g = power = ctx.reduce(g)
+        for i in range(1, self.s):
+            self.table[i] = power
+            power = ctx.mulmod(power, g)
+        self.giant = power
 
     @staticmethod
     def shape(n: int) -> tuple[int, int]:
@@ -575,18 +598,20 @@ class NPolyComposer:
         return s, -(-n // s)
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        ctx, s = self.ctx, self.s
-        chunks = np.zeros(self.steps * s, dtype=np.int64)
+        ctx, s, m = self.ctx, self.s, self.ctx.m
+        chunks = np.zeros(self.steps * s, dtype=self.table.dtype)
         a = ctx.reduce(a)
         chunks[: len(a)] = a
         chunks = chunks.reshape(self.steps, s)
         if self.exact_float:
-            values = (chunks.astype(np.float64) @ self.table).astype(np.int64) % ctx.m
+            values = chunks @ self.table  # integers below 2^53, reduced row by row
         else:
-            values = dot_mod(chunks, self.table, ctx.m)
-        acc = values[-1]
+            values = dot_mod(chunks, self.table, m)
+        acc = values[-1].astype(np.int64) % m
         for row in values[-2::-1]:
-            acc = (ctx.mulmod(acc, self.giant) + row) % ctx.m
+            acc = ctx.mulmod(acc, self.giant)
+            np.add(acc, row, out=acc, casting="unsafe")
+            acc %= m
         return acc
 
 
@@ -825,18 +850,7 @@ def npoly_rabin_irreducible(f: np.ndarray, m: int) -> bool:
     if n == 1:
         return True
     ctx = NPolyModCtx(f, m)
-    # n / q for the prime divisors q of n
-    cofactors = set()
-    nn = n
-    q = 2
-    while q * q <= nn:
-        if nn % q == 0:
-            cofactors.add(n // q)
-            while nn % q == 0:
-                nn //= q
-        q += 1
-    if nn > 1:
-        cofactors.add(n // nn)
+    cofactors = {n // q for q in primefactors(n)}
     h = np.array([0, 1], dtype=np.int64)
     for k in range(1, n + 1):
         h = ctx.frobenius(h)

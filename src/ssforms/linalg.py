@@ -30,6 +30,17 @@ NU_DEFAULTS = (
     999727, 999721, 999683, 999671,
 )
 
+# The Wiedemann schedule's fixed knobs: nonzero entries of a start vector,
+# the first shift k of M + kI, coordinates kept per Krylov iterate for the
+# eigenspace bounds, shift increments allowed per modulus, random vectors in
+# the final annihilation check, and extra probe columns per Krylov pass.
+DENSITY = 50
+SHIFT0 = 4
+WINDOW_SIZE = 1000
+MAX_SINGULAR_RETRIES = 25
+VERIFY_VECTORS = 5
+EXTRA_PROBE_COLUMNS = 8
+
 
 class SingularRecurrenceError(ArithmeticError):
     """The recurrence has zero constant term: the (shifted) matrix is
@@ -193,19 +204,6 @@ class KrylovTrace:
 
 
 @dataclass
-class WiedemannParams:
-    density: int = 50
-    shift0: int = 4
-    retry_budget0: int = 2
-    nu_list: tuple = NU_DEFAULTS
-    max_nus: int = 12
-    window_size: int = 1000
-    max_singular_retries: int = 25
-    verify_vectors: int = 5
-    extra_probe_columns: int = 8
-
-
-@dataclass
 class CharpolyRecord:
     nu: int
     mu: np.ndarray
@@ -281,8 +279,8 @@ def annihilates(poly: np.ndarray, m: SparseSignedMatrix, nu: int, rng,
     return not len(failed)
 
 
-def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: int,
-                      budget: int, stats: dict | None = None
+def wiedemann_minpoly(m: SparseSignedMatrix, rng, nu: int, budget: int,
+                      stats: dict | None = None
                       ) -> tuple[np.ndarray, list[KrylovTrace]]:
     """Single-modulus probing schedule: up to `budget` (u, i) probes, with the
     shift incremented whenever Berlekamp-Massey signals a singular reduction.
@@ -297,7 +295,7 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
     n = m.n
     traces: list[KrylovTrace] = []
     best: np.ndarray | None = None
-    k = params.shift0
+    k = SHIFT0
     singular = 0
     attempts = 0
     if stats is None:
@@ -305,17 +303,17 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
     stats.setdefault("bm_runs", 0)
     stats.setdefault("bm_skipped", 0)
     while attempts < budget:
-        u = _random_start_vector(n, params.density, rng, nu)
+        u = _random_start_vector(n, DENSITY, rng, nu)
         i = int(rng.integers(0, n))
-        cols = rng.choice(n, size=min(n, params.extra_probe_columns), replace=False)
-        seq, window, extra = krylov_probe(m, nu, k, u, i, params.window_size, cols)
+        cols = rng.choice(n, size=min(n, EXTRA_PROBE_COLUMNS), replace=False)
+        seq, window, extra = krylov_probe(m, nu, k, u, i, WINDOW_SIZE, cols)
         stats["bm_runs"] += 1
         try:
             mu_sh = berlekamp_massey(seq, nu)
         except SingularRecurrenceError:
             k += 1
             singular += 1
-            if singular > params.max_singular_retries:
+            if singular > MAX_SINGULAR_RETRIES:
                 raise CharpolyFailure(
                     f"shift increments exhausted at nu={nu} (k reached {k})"
                 )
@@ -358,8 +356,8 @@ def wiedemann_minpoly(m: SparseSignedMatrix, params: WiedemannParams, rng, nu: i
     # the charpoly of degree n is the charpoly, and chi(M) = 0 (Cayley-
     # Hamilton).  The check's draw is still made, so later draws do not move.
     if len(best) - 1 == n:
-        rng.integers(0, nu, (params.verify_vectors, n))
-    elif not annihilates(best, m, nu, rng, params.verify_vectors):
+        rng.integers(0, nu, (VERIFY_VECTORS, n))
+    elif not annihilates(best, m, nu, rng, VERIFY_VECTORS):
         raise CharpolyFailure(f"candidate of degree {len(best) - 1} is not the "
                               f"minimal polynomial at nu={nu}")
     return best, traces
@@ -503,22 +501,25 @@ def charpoly_complete(mu: np.ndarray, m: SparseSignedMatrix, nu: int,
     return rec
 
 
-def hecke_charpoly(m: SparseSignedMatrix, params: WiedemannParams, rng,
-                   nu_start_index: int = 0) -> CharpolyRecord:
+def hecke_charpoly(m: SparseSignedMatrix, rng, nu_start_index: int = 0, *,
+                   nu_list: tuple = NU_DEFAULTS, max_nus: int = 12,
+                   retry_budget0: int = 2) -> CharpolyRecord:
     """Characteristic polynomial of m modulo an auxiliary prime, varying
-    (u, i), the shift, and the modulus per the retry schedule."""
+    (u, i), the shift, and the modulus per the retry schedule: up to
+    `max_nus` moduli from `nu_list`, starting at `nu_start_index`, the r-th
+    with a budget of retry_budget0 + r probes."""
     if m.n == 0:
-        rec = CharpolyRecord(nu=params.nu_list[0], mu=np.array([1], dtype=np.int64),
+        rec = CharpolyRecord(nu=nu_list[0], mu=np.array([1], dtype=np.int64),
                              chi=np.array([1], dtype=np.int64), n=0)
         rec.provenance["completion"] = "empty"
         return rec
     history = []
     stats: dict = {}
-    for round_idx in range(params.max_nus):
-        nu = params.nu_list[(nu_start_index + round_idx) % len(params.nu_list)]
-        budget = params.retry_budget0 + round_idx
+    for round_idx in range(max_nus):
+        nu = nu_list[(nu_start_index + round_idx) % len(nu_list)]
+        budget = retry_budget0 + round_idx
         try:
-            mu, traces = wiedemann_minpoly(m, params, rng, nu, budget, stats)
+            mu, traces = wiedemann_minpoly(m, rng, nu, budget, stats)
         except CharpolyFailure as e:
             history.append((nu, str(e)))
             continue
@@ -529,4 +530,4 @@ def hecke_charpoly(m: SparseSignedMatrix, params: WiedemannParams, rng,
         if rec.chi is not None:
             return rec
         history.append((nu, f"completion stalled at degree {len(mu) - 1}/{m.n}"))
-    raise CharpolyFailure(f"charpoly failed after {params.max_nus} moduli: {history}")
+    raise CharpolyFailure(f"charpoly failed after {max_nus} moduli: {history}")

@@ -21,6 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
+from sympy import primefactors
 
 from . import gf, numfield, series
 from .lift import GaloisOrbit
@@ -263,7 +264,7 @@ def composite_probes(exact: dict[int, tuple], fld: numfield.NumberField,
     avals = {1: fld.one, **exact}
     out = {}
     for n in range(4, COMPOSITE_PROBES_UPTO + 1):
-        if n in avals or any(q not in exact for q in _prime_factors(n)):
+        if n in avals or any(q not in exact for q in primefactors(n)):
             continue
         avals[n] = out[n] = _multiplicative_value(n, avals, fld, p)
     return out
@@ -375,7 +376,7 @@ def _multiplicative_value(n: int, avals: dict, fld: numfield.NumberField, p: int
     """a_n for a composite n from the a_m in avals of its divisors m < n:
     a_(p^k) = a_p^k, a_(ell^k) = a_ell a_(ell^(k-1)) - ell a_(ell^(k-2)) for
     ell != p, and a_(mn) = a_m a_n for coprime m and n."""
-    m = _smallest_prime_factor(n)
+    m = primefactors(n)[0]
     k = 1
     while n % (m ** (k + 1)) == 0:
         k += 1
@@ -386,18 +387,3 @@ def _multiplicative_value(n: int, avals: dict, fld: numfield.NumberField, p: int
         return fld.pow(avals[p], k)
     return fld.sub(fld.mul(avals[m], avals[mk // m]), fld.scale(avals[mk // (m * m)], m))
 
-
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    while n > 1:
-        q = _smallest_prime_factor(n)
-        out.add(q)
-        n //= q
-    return out
-
-
-def _smallest_prime_factor(n: int) -> int:
-    for q in range(2, int(math.isqrt(n)) + 1):
-        if n % q == 0:
-            return q
-    return n

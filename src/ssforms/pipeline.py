@@ -167,8 +167,7 @@ def _block_charpoly(store: GraphStore, name: str, cfg: RunConfig, rng,
                     nu_start: int = 0) -> linalg.CharpolyRecord:
     m = store.block(2, name)
     t0 = time.monotonic()
-    rec = linalg.hecke_charpoly(m, linalg.WiedemannParams(nu_list=cfg.nu_list), rng,
-                                nu_start_index=nu_start)
+    rec = linalg.hecke_charpoly(m, rng, nu_start, nu_list=cfg.nu_list)
     log.info("stage=charpoly p=%d block=%s n=%d nu=%d completion=%s bm_runs=%s "
              "bm_skipped=%s dt=%.2fs",
              store.p, name, m.n, rec.nu, rec.provenance.get("completion"),
@@ -269,11 +268,13 @@ def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng, prov: dict):
         t0 = time.monotonic()
         hecke = mestre.HeckeField.build(orbit.field_poly)
         fld = hecke.field
+        t_series = time.monotonic()
         psis = [
             mestre.mestre_rhs(np.array(u, dtype=np.int64), orbit.block, store.sset,
                               _orbit_pairs(store, orbit.block), j, jp, prec)
             for u in orbit.basis
         ]
+        t_series = time.monotonic() - t_series
         powers = mestre.separating_powers(
             orbit.basis, store.block(orbit.sep_ell, orbit.block), fld.deg)
         alpha_cols = {}
@@ -290,8 +291,8 @@ def _qexpansions(store: GraphStore, orbits, cfg: RunConfig, rng, prov: dict):
             lambda: {n: hecke.to_basis_coords(a)
                      for n, a in mestre.composite_probes(exact, fld, p).items()})
         qe = mestre.q_expansion(orbit, hecke, beta, psis, n_coeffs, p, exact)
-        log.info("stage=qexp p=%d block=%s dim=%d disc=%d probes=%s dt=%.2fs",
-                 p, orbit.block, orbit.dim, hecke.disc, beta.probes,
+        log.info("stage=qexp p=%d block=%s dim=%d disc=%d probes=%s series=%.2fs dt=%.2fs",
+                 p, orbit.block, orbit.dim, hecke.disc, beta.probes, t_series,
                  time.monotonic() - t0)
         records.append(_record_of(qe, orbit, hecke, beta))
     return records
@@ -367,12 +368,8 @@ def _run_sieve(store: GraphStore, name: str, orbits, chis: dict, cfg: RunConfig,
     def chi_provider(nu):
         if nu in chis:
             return chis[nu]
-        rec = linalg.hecke_charpoly(
-            block,
-            linalg.WiedemannParams(nu_list=(nu,), max_nus=1,
-                                   retry_budget0=linalg.WiedemannParams.retry_budget0 + 2),
-            rng)
-        return rec.chi
+        return linalg.hecke_charpoly(block, rng, nu_list=(nu,), max_nus=1,
+                                     retry_budget0=4).chi
 
     rep = sieve.certify_degrees(chi_provider, block.n, known, name, cfg.nu_list,
                                 rng, nu_budget=SIEVE_NU_BUDGET)

@@ -6,12 +6,13 @@ precision `absprec` meaning coefficients are known for every exponent
 < absprec.  Arithmetic never claims precision beyond what the inputs
 justify.  Products and Newton inverses are `gf.npoly_mul` and
 `gf.npoly_series_inv`: exact schoolbook convolutions for short factors and
-an exact float64 FFT for long ones.
+an exact float64 FFT for long ones.  Composition with a series of positive
+valuation is `gf.NPolyComposer`, the same Brent-Kung composition that
+distinct-degree factoring uses, modulo q^N, where `gf.NPolyModCtx` reduces
+by truncation.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -276,35 +277,20 @@ def reciprocal_expansion(r: RationalFunction, nterms: int) -> np.ndarray:
 
 
 def brent_kung_compose(gcoeffs: np.ndarray, u: PowerSeries, absprec: int) -> PowerSeries:
-    """sum_k g[k] u(q)^k for a valuation >= 1 series u, baby-step/giant-step."""
+    """sum_k g[k] u(q)^k to absolute precision absprec, for a series u of
+    valuation >= 1: `gf.NPolyComposer` modulo q^absprec.  The valuation
+    makes u^k vanish mod q^absprec for k >= absprec, so the composer may cut
+    g to absprec terms."""
     p = u.p
     if u.val < 1:
         raise ValueError("composition requires valuation >= 1")
     absprec = min(absprec, u.absprec)
-    L = min(len(gcoeffs), absprec)  # u^k has valuation >= k
-    if L == 0:
+    if absprec < 1:
         return PowerSeries.zero(p, absprec)
-    bs = max(1, math.isqrt(L - 1) + 1)
-    gs = (L + bs - 1) // bs
-    if int(p) ** 2 * bs >= 2**62:
-        raise gf.ModulusError(f"modulus {p} too large for block accumulation of {bs} terms")
-    # dense rows u^0 .. u^bs over exponents [0, absprec)
-    rows = np.zeros((bs + 1, absprec), dtype=np.int64)
-    rows[0, 0] = 1
-    udense = u.coeff_range(0, absprec)
-    for k in range(1, bs + 1):
-        rows[k] = gf.npoly_mul(rows[k - 1], udense, p)[:absprec]
-    C = np.zeros((gs, bs), dtype=np.int64)
-    for i in range(gs):
-        chunk = gcoeffs[i * bs : min((i + 1) * bs, L)]
-        C[i, : len(chunk)] = chunk
-    E = C @ rows[:bs] % p  # gs x absprec
-    ubig = rows[bs]
-    acc = E[gs - 1]
-    for i in range(gs - 2, -1, -1):
-        acc = gf.npoly_mul(acc, ubig, p)[:absprec]
-        acc = (acc + E[i]) % p
-    return PowerSeries(p, 0, acc, absprec)
+    modulus = np.zeros(absprec + 1, dtype=np.int64)
+    modulus[-1] = 1
+    compose = gf.NPolyComposer(gf.NPolyModCtx(modulus, p), u.coeff_range(0, absprec))
+    return PowerSeries(p, 0, compose(gcoeffs), absprec)
 
 
 def compose_with_reciprocal_j(

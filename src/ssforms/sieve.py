@@ -38,11 +38,9 @@ class CandidateFactor:
 @dataclass
 class SieveState:
     possible: set          # degrees not yet ruled out
-    eta: int = 5
     # per degree: list of (nu, [products as residue tuples]) with all ways known
     recorded: dict = field(default_factory=dict)
     survivors: dict = field(default_factory=dict)  # degree -> list of CandidateFactor
-    nus_used: list = field(default_factory=list)
 
 
 def factor_mod_nu(chi: np.ndarray, nu: int, rng, max_factors: int = 120,
@@ -144,7 +142,7 @@ def _lift_admissible(residue: int, modulus: int, bound: int) -> bool:
     return abs(other) <= bound
 
 
-def weil_crt_eliminate(state: SieveState, degree: int, theta_js=(1, 2)) -> list[CandidateFactor]:
+def weil_crt_eliminate(state: SieveState, degree: int) -> list[CandidateFactor]:
     """CRT-combine every recorded way to reach `degree` across the nu's and
     keep only candidates whose theta_1, theta_2 admit Weil-bounded lifts."""
     recorded = state.recorded.get(degree, [])
@@ -168,7 +166,7 @@ def weil_crt_eliminate(state: SieveState, degree: int, theta_js=(1, 2)) -> list[
     kept = []
     for cand in base:
         ok = True
-        for j in theta_js:
+        for j in (1, 2):
             if j > degree:
                 continue
             if not _lift_admissible(cand.residues[j - 1], cand.modulus,
@@ -212,7 +210,7 @@ def certify_degrees(chi_provider, dim: int, known_factors: list, block: str,
     reduced_dim = dim - known_total
     top = reduced_dim // 2
     possible = set(range(7, top + 1))
-    state = SieveState(possible=set(possible), eta=eta)
+    state = SieveState(possible=set(possible))
     if not possible:
         return DegreeReport(block, dim, [len(kf) - 1 for kf, _ in known_factors],
                             [], [], reduced_dim if reduced_dim > 0 else None, [])
@@ -226,7 +224,6 @@ def certify_degrees(chi_provider, dim: int, known_factors: list, block: str,
         except WorkCapExceeded:
             continue
         used.append(nu)
-        state.nus_used.append(nu)
         reachable, delta = subset_sum_degrees(fact, state.possible, eta)
         state.possible &= reachable
         for d in sorted(state.possible):

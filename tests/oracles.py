@@ -197,7 +197,7 @@ def berlekamp_massey_py(seq, nu: int) -> list[int]:
     return [0] * (L + 1 - len(mu)) + mu
 
 
-def wiedemann_all_columns(m, params, rng, nu: int, budget: int):
+def wiedemann_all_columns(m, rng, nu: int, budget: int):
     """The probing schedule of linalg.wiedemann_minpoly without its residual
     skip: every probe runs berlekamp_massey_py on the main coordinate and on
     every extra column and takes the lcm of all of them.  It draws from rng
@@ -207,19 +207,19 @@ def wiedemann_all_columns(m, params, rng, nu: int, budget: int):
 
     traces = []
     best = None
-    k = params.shift0
+    k = linalg.SHIFT0
     singular = 0
     attempts = 0
     while attempts < budget:
-        u = linalg._random_start_vector(m.n, params.density, rng, nu)
+        u = linalg._random_start_vector(m.n, linalg.DENSITY, rng, nu)
         i = int(rng.integers(0, m.n))
-        cols = rng.choice(m.n, size=min(m.n, params.extra_probe_columns), replace=False)
-        seq, window, extra = linalg.krylov_probe(m, nu, k, u, i, params.window_size, cols)
+        cols = rng.choice(m.n, size=min(m.n, linalg.EXTRA_PROBE_COLUMNS), replace=False)
+        seq, window, extra = linalg.krylov_probe(m, nu, k, u, i, linalg.WINDOW_SIZE, cols)
         mu_sh = berlekamp_massey_py(seq, nu)
         if mu_sh[0] == 0:
             k += 1
             singular += 1
-            if singular > params.max_singular_retries:
+            if singular > linalg.MAX_SINGULAR_RETRIES:
                 raise linalg.CharpolyFailure(f"shift increments exhausted at nu={nu}")
             continue
         mu = linalg.taylor_shift(np.array(mu_sh, dtype=np.int64), k, nu)
@@ -235,7 +235,7 @@ def wiedemann_all_columns(m, params, rng, nu: int, budget: int):
             break
     if best is None:
         raise linalg.CharpolyFailure(f"no probe ran at nu={nu}")
-    if not linalg.annihilates(best, m, nu, rng, params.verify_vectors):
+    if not linalg.annihilates(best, m, nu, rng, linalg.VERIFY_VECTORS):
         raise linalg.CharpolyFailure(f"candidate is not the minimal polynomial at nu={nu}")
     return best, traces
 

@@ -199,16 +199,15 @@ def test_acceptance_4_graph_invariants(rng):
           f"<= 2000, ell in {{2,3}}, matched T_3 = BFS T_3, all exact in {dt:.1f}s")
 
 
-def test_acceptance_5_wiedemann(rng):
+def test_acceptance_5_wiedemann(rng, monkeypatch):
     from test_linalg import random_sparse_matrix
 
     t0 = time.monotonic()
-    params = linalg.WiedemannParams()
     routes = {}
     for trial in range(200):
         A = random_sparse_matrix(rng, nmax=60)
         M = linalg.SparseSignedMatrix.from_dense(A)
-        rec = linalg.hecke_charpoly(M, params, rng)
+        rec = linalg.hecke_charpoly(M, rng)
         want = oracles.hessenberg_charpoly_mod(A, rec.nu)
         assert rec.chi.tolist() == want.tolist(), (trial, rec.provenance)
         assert linalg.annihilates(rec.mu, M, rec.nu, rng, 5)
@@ -218,8 +217,10 @@ def test_acceptance_5_wiedemann(rng):
     A = random_sparse_matrix(rng, nmax=25)
     M = linalg.SparseSignedMatrix.from_dense(A)
     nu = linalg.NU_DEFAULTS[0]
-    mu1, _ = linalg.wiedemann_minpoly(M, linalg.WiedemannParams(shift0=4), rng, nu, 3)
-    mu2, _ = linalg.wiedemann_minpoly(M, linalg.WiedemannParams(shift0=11), rng, nu, 3)
+    monkeypatch.setattr(linalg, "SHIFT0", 4)
+    mu1, _ = linalg.wiedemann_minpoly(M, rng, nu, 3)
+    monkeypatch.setattr(linalg, "SHIFT0", 11)
+    mu2, _ = linalg.wiedemann_minpoly(M, rng, nu, 3)
     assert mu1.tolist() == mu2.tolist()
     dt = time.monotonic() - t0
     print(f"\nACCEPTANCE 5 (Wiedemann correctness): PASS - 200 matrices vs "
@@ -335,7 +336,7 @@ def test_acceptance_7_qexpansion_self_consistency(golden_reports,
             continue
         sset, T = ssgraph.build_adjacency(p, rng)
         al = ssgraph.split_atkin_lehner(T, sset)
-        recp = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+        recp = linalg.hecke_charpoly(al.minus, rng)
         chi, _ = gf.npoly_divrem(recp.chi, np.array([(-3) % recp.nu, 1]), recp.nu)
         for rho, mult in lift.detect_factors(chi, recp.nu, 1):
             v = lift.lift_1dim(al.minus, -rho[0], recp.mu, recp.nu, rng)

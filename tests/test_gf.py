@@ -510,26 +510,44 @@ def test_frobenius_steps_compose_only_where_cheaper_than_a_powmod(rng, monkeypat
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 130])
-def test_composer_matches_repeated_mulmod_powers(rng, n):
+def test_composer_matches_repeated_mulmod_powers(rng, monkeypatch, n):
     # a(g) mod f against Horner in g with mulmod, at moduli just below and
     # just above the float64 bound s (m - 1)^2 < 2^53 of the block product,
-    # and at 101, 999983 and 2^30 - 35
+    # and at 101, 999983 and 2^30 - 35.  Next to a random monic f, the
+    # monomial f = x^n with g of valuation >= 1, where g^n = 0 mod f, so an
+    # outer a longer than n may be cut; that modulus builds no Newton inverse.
     s = math.isqrt(n - 1) + 1
     edge = math.isqrt((2**53 - 1) // s) + 1  # least m - 1 with s (m - 1)^2 >= 2^53
     below = next(m for m in range(edge, 2, -1) if gf.is_probable_prime(m))
     above = next(m for m in range(edge + 2, 2 * edge) if gf.is_probable_prime(m))
+    inverses = []
+    series_inv = gf.npoly_series_inv
+    monkeypatch.setattr(gf, "npoly_series_inv",
+                        lambda *args: (inverses.append(args[1]), series_inv(*args))[1])
     for m in (101, 999983, below, above, 2**30 - 35):
-        ctx = gf.NPolyModCtx(_monic_random(rng, n, m), m)
-        g = rng.integers(0, m, n + 3)  # reduced by the composer
-        compose = gf.NPolyComposer(ctx, g)
-        assert (compose.s, compose.steps) == (s, -(-n // s))
-        assert compose.exact_float == (m <= below)
-        for a in (rng.integers(0, m, n), np.full(n, m - 1), np.zeros(0, dtype=np.int64)):
-            want = np.zeros(n, dtype=np.int64)
-            for c in a[::-1]:
-                want = ctx.mulmod(want, g)
-                want[0] = (want[0] + c) % m
-            assert compose(a).tolist() == want.tolist()
+        for monomial in (False, True):
+            inverses.clear()
+            if monomial:
+                f = np.zeros(n + 1, dtype=np.int64)
+                f[-1] = 1
+                g = np.concatenate([[0], rng.integers(0, m, n + 2)])
+                length = n + 3
+            else:
+                f, g, length = _monic_random(rng, n, m), rng.integers(0, m, n + 3), n
+            ctx = gf.NPolyModCtx(f, m)
+            compose = gf.NPolyComposer(ctx, g)  # g is reduced by the composer
+            assert ctx.monomial == monomial
+            assert (compose.s, compose.steps) == (s, -(-n // s))
+            assert compose.exact_float == (m <= below)
+            for a in (rng.integers(0, m, length), np.full(length, m - 1),
+                      np.zeros(0, dtype=np.int64)):
+                want = np.zeros(n, dtype=np.int64)
+                for c in a[::-1]:
+                    want = ctx.mulmod(want, g)
+                    want[0] = (want[0] + c) % m
+                assert compose(a).tolist() == want.tolist()
+            if monomial:
+                assert ctx.rev_inv is None and inverses == []
 
 
 def test_equal_degree_split_matches_oracle_and_its_draws(rng):

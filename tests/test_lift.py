@@ -110,7 +110,7 @@ def test_detect_factors_matches_table_on_constructed_chi(candidate_lists, factor
 def test_lift_1dim_p11(rng):
     sset, T = ssgraph.build_adjacency(11, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
-    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    rec = linalg.hecke_charpoly(al.minus, rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     assert sorted(np.abs(v).tolist()) == [2, 3]
     assert (al.minus.matvec_exact(v) == -2 * v).all()
@@ -123,7 +123,7 @@ def test_lift_1dim_p37_both_blocks(rng):
     al = ssgraph.split_atkin_lehner(T, sset)
     seen = {}
     for name, blk in [("minus", al.minus), ("plus", al.plus)]:
-        rec = linalg.hecke_charpoly(blk, linalg.WiedemannParams(), rng)
+        rec = linalg.hecke_charpoly(blk, rng)
         chi = rec.chi
         if name == "minus":
             chi, r = gf.npoly_divrem(chi, np.array([(-3) % rec.nu, 1]), rec.nu)
@@ -150,7 +150,7 @@ def test_lift_1dim_unit_entry_returns_first(rng):
 def test_lift_highdim_p23(rng):
     sset, T = ssgraph.build_adjacency(23, rng)
     al = ssgraph.split_atkin_lehner(T, sset)
-    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    rec = linalg.hecke_charpoly(al.minus, rng)
     chi, _ = gf.npoly_divrem(rec.chi, np.array([(-3) % rec.nu, 1]), rec.nu)
     ((rho, mult),) = lift.detect_factors(chi, rec.nu, 6)
     assert rho == (-1, 1, 1) and mult == 1

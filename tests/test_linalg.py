@@ -143,7 +143,7 @@ def test_dot_mod_chunks_stay_exact(rng):
                    gf.MAX_MODULUS + 1)
 
 
-def _same_wiedemann(M, params, seed, nu, budget):
+def _same_wiedemann(M, seed, nu, budget):
     """Package and no-skip oracle at one seed: the same best, traces and
     CharpolyFailure, and the same draws left in the generator.  The oracle
     runs the `annihilates` check at every degree, the package only below full
@@ -152,11 +152,11 @@ def _same_wiedemann(M, params, seed, nu, budget):
     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
     stats = {}
     try:
-        got = linalg.wiedemann_minpoly(M, params, r1, nu, budget, stats)
+        got = linalg.wiedemann_minpoly(M, r1, nu, budget, stats)
     except linalg.CharpolyFailure:
         got = None
     try:
-        want = oracles.wiedemann_all_columns(M, params, r2, nu, budget)
+        want = oracles.wiedemann_all_columns(M, r2, nu, budget)
     except linalg.CharpolyFailure:
         want = None
     assert (got is None) == (want is None)
@@ -169,12 +169,11 @@ def _same_wiedemann(M, params, seed, nu, budget):
 
 
 def test_wiedemann_skip_matches_all_columns_on_random_matrices(rng):
-    params = linalg.WiedemannParams()
     ran_extra = skipped = full = 0
     for t in range(40):
         M = linalg.SparseSignedMatrix.from_dense(random_sparse_matrix(rng, nmax=40))
         nu = (7, 13, 101, 999983)[t % 4]
-        stats = _same_wiedemann(M, params, t, nu, 2)
+        stats = _same_wiedemann(M, t, nu, 2)
         skipped += stats["bm_skipped"]
         # main-coordinate runs are one per probe; the rest ran on extra columns
         ran_extra += stats["bm_runs"] > 2
@@ -186,14 +185,13 @@ def test_wiedemann_skip_matches_all_columns_on_random_matrices(rng):
 def test_wiedemann_skip_matches_all_columns_on_hecke_blocks():
     from ssforms import pipeline
 
-    params = linalg.WiedemannParams()
     skipped = full = 0
     for p in pipeline._primes_between(5, 300):
         store = pipeline.GraphStore(p, np.random.default_rng(p), None)
         for name in ("minus", "plus"):
             M = store.block(2, name)
             if M.n:
-                stats = _same_wiedemann(M, params, p, 999983, 2)
+                stats = _same_wiedemann(M, p, 999983, 2)
                 skipped += stats["bm_skipped"]
                 full += stats["full_degree"]
     assert skipped and full
@@ -209,13 +207,13 @@ def test_taylor_shift():
 
 def test_wiedemann_examples(rng):
     M = linalg.SparseSignedMatrix.from_dense([[0, 3], [2, 1]])
-    mu, traces = linalg.wiedemann_minpoly(M, linalg.WiedemannParams(), rng, 101, 2)
+    mu, traces = linalg.wiedemann_minpoly(M, rng, 101, 2)
     assert mu.tolist() == [(-6) % 101, 100, 1]  # (t-3)(t+2)
     I5 = linalg.SparseSignedMatrix.from_dense(np.eye(5, dtype=np.int64))
-    mu, _ = linalg.wiedemann_minpoly(I5, linalg.WiedemannParams(), rng, 101, 2)
+    mu, _ = linalg.wiedemann_minpoly(I5, rng, 101, 2)
     assert mu.tolist() == [100, 1]  # degree 1, far below n
     D = linalg.SparseSignedMatrix.from_dense(np.diag([1, 2]).astype(np.int64))
-    mu, _ = linalg.wiedemann_minpoly(D, linalg.WiedemannParams(), rng, 101, 3)
+    mu, _ = linalg.wiedemann_minpoly(D, rng, 101, 3)
     assert mu.tolist() == [2, 98, 1]  # t^2 - 3t + 2
 
 
@@ -225,27 +223,28 @@ def test_start_vectors_just_above_density_see_every_eigenvalue():
     # positions were nearly constant, and hecke_charpoly failed at 8 of these
     # 20 seeds; uniform nonzero values there miss no eigenvalue
     A = random_sparse_matrix(np.random.default_rng(3284), nmax=60)
-    assert A.shape == (51, 51) and linalg.WiedemannParams().density == 50
+    assert A.shape == (51, 51) and linalg.DENSITY == 50
     M = linalg.SparseSignedMatrix.from_dense(A)
     for seed in range(20):
-        rec = linalg.hecke_charpoly(M, linalg.WiedemannParams(), np.random.default_rng(seed))
+        rec = linalg.hecke_charpoly(M, np.random.default_rng(seed))
         assert rec.chi.tolist() == oracles.hessenberg_charpoly_mod(A, rec.nu).tolist()
 
 
-def test_shift_invariance(rng):
+def test_shift_invariance(rng, monkeypatch):
     A = np.diag([1, 2, 3, 4, 5]).astype(np.int64)
     M = linalg.SparseSignedMatrix.from_dense(A)
     nu = 999983
-    mu1, _ = linalg.wiedemann_minpoly(M, linalg.WiedemannParams(shift0=4), rng, nu, 2)
-    mu2, _ = linalg.wiedemann_minpoly(M, linalg.WiedemannParams(shift0=9), rng, nu, 2)
+    monkeypatch.setattr(linalg, "SHIFT0", 4)
+    mu1, _ = linalg.wiedemann_minpoly(M, rng, nu, 2)
+    monkeypatch.setattr(linalg, "SHIFT0", 9)
+    mu2, _ = linalg.wiedemann_minpoly(M, rng, nu, 2)
     assert mu1.tolist() == mu2.tolist()
 
 
 def test_charpoly_complete_examples(rng):
-    params = linalg.WiedemannParams()
     # identity pattern 3x3: mu = t-1, chi = (t-1)^3 via the trace coefficients
     I3 = linalg.SparseSignedMatrix.from_dense(np.eye(3, dtype=np.int64))
-    rec = linalg.hecke_charpoly(I3, params, rng)
+    rec = linalg.hecke_charpoly(I3, rng)
     nu = rec.nu
     want = np.array([1], dtype=np.int64)
     for _ in range(3):
@@ -254,7 +253,7 @@ def test_charpoly_complete_examples(rng):
     assert len(rec.mu) == 2
     # degrees match: chi = mu
     D = linalg.SparseSignedMatrix.from_dense(np.array([[0, 1], [1, 1]], dtype=np.int64))
-    rec = linalg.hecke_charpoly(D, params, rng)
+    rec = linalg.hecke_charpoly(D, rng)
     assert rec.chi.tolist() == rec.mu.tolist()
     # block diag swaps: mu = t^2-1, c2 = -2, chi = (t^2-1)^2
     Mb = linalg.SparseSignedMatrix.from_dense(
@@ -262,7 +261,7 @@ def test_charpoly_complete_examples(rng):
     assert Mb.trace() == 0 and Mb.trace_of_square() == 4
     c1, c2 = linalg._second_symmetric(Mb, 101)
     assert c1 == 0 and c2 == (-2) % 101
-    rec = linalg.hecke_charpoly(Mb, params, rng)
+    rec = linalg.hecke_charpoly(Mb, rng)
     nu = rec.nu
     t2m1 = np.array([nu - 1, 0, 1], dtype=np.int64)
     assert rec.chi.tolist() == gf.npoly_mul(t2m1, t2m1, nu).tolist()
@@ -272,7 +271,7 @@ def test_mu_annihilates_fresh_vectors(rng):
     for _ in range(6):
         A = random_sparse_matrix(rng, nmax=30)
         M = linalg.SparseSignedMatrix.from_dense(A)
-        rec = linalg.hecke_charpoly(M, linalg.WiedemannParams(), rng)
+        rec = linalg.hecke_charpoly(M, rng)
         assert linalg.annihilates(rec.mu, M, rec.nu, rng, 5)
         assert len(rec.chi) - 1 == M.n
         # chi divisible by mu
@@ -342,7 +341,7 @@ def test_wiedemann_vs_dense_oracle_small(rng):
     for _ in range(30):
         A = random_sparse_matrix(rng, nmax=40)
         M = linalg.SparseSignedMatrix.from_dense(A)
-        rec = linalg.hecke_charpoly(M, linalg.WiedemannParams(), rng)
+        rec = linalg.hecke_charpoly(M, rng)
         want = oracles.hessenberg_charpoly_mod(A, rec.nu)
         assert rec.chi.tolist() == want.tolist()
 

@@ -42,7 +42,7 @@ def test_unfold_weight_scaling(rng):
 
 def _cuspidal_vectors(p, al, rng):
     """Integer basis vectors of the minus-block cuspidal orbits."""
-    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    rec = linalg.hecke_charpoly(al.minus, rng)
     chi, _ = gf.npoly_divrem(rec.chi, np.array([(-3) % rec.nu, 1]), rec.nu)
     out = []
     for rho, mult in lift.detect_factors(chi, rec.nu, 6):
@@ -140,7 +140,7 @@ def test_mestre_rhs_anti_invariant_naive(rng):
 def test_eigenvalue_of_examples(rng):
     # p = 11: a_2 = -2, a_3 = -1, matching point counts on conductor-11 curve
     sset, T, al = _level_setup(11, rng)
-    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    rec = linalg.hecke_charpoly(al.minus, rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     fld = numfield.NumberField([2, 1])
     powers = mestre.separating_powers([v], al.minus, 1)
@@ -242,7 +242,7 @@ def test_ambiguous_lift_aborts(rng):
     from ssforms import pipeline
 
     sset, T, al = _level_setup(11, rng)
-    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    rec = linalg.hecke_charpoly(al.minus, rng)
     v = lift.lift_1dim(al.minus, -2, rec.mu, rec.nu, rng)
     orbit = lift.GaloisOrbit(level=11, block="minus", rho=(2, 1), multiplicity=1,
                              dim=1, field_poly=(2, 1), basis=[v.tolist()], sep_ell=2)
@@ -316,7 +316,7 @@ def test_eigenvalue_of_rejects_a_perturbed_basis(rng):
     # p = 23's two-dimensional orbit, separated by T_2: changing one entry of
     # either basis vector breaks T_3 = P(T_2) on the orbit
     sset, T, al = _level_setup(23, rng)
-    rec = linalg.hecke_charpoly(al.minus, linalg.WiedemannParams(), rng)
+    rec = linalg.hecke_charpoly(al.minus, rng)
     hl = lift.lift_highdim(al.minus, (-1, 1, 1), 1, rec.mu, rec.nu, rng, None, 23)
     (orbit,) = lift.separate_orbits(hl, 23, "minus")
     fld = numfield.NumberField(orbit.field_poly)

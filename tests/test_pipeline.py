@@ -165,9 +165,9 @@ def test_sieve_reuses_the_lifting_charpoly(monkeypatch):
     sieve_nus = []
     real = linalg.hecke_charpoly
 
-    def recording(m, params, rng, nu_start_index=0):
-        rec = real(m, params, rng, nu_start_index)
-        if params.max_nus == 1:  # only the sieve pins a single modulus
+    def recording(m, rng, nu_start_index=0, **schedule):
+        rec = real(m, rng, nu_start_index, **schedule)
+        if schedule.get("max_nus") == 1:  # only the sieve pins a single modulus
             sieve_nus.append(rec.nu)
         return rec
 

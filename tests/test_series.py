@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,18 +196,34 @@ def test_dilate_and_differentiate():
     assert dd.coeff(-2) == (-1) % p and dd.coeff(0) == 3
 
 
-def test_brent_kung_rejects_overflowing_modulus():
-    # p^2 * block size >= 2^62 would overflow the int64 block accumulation;
-    # the check fires before any arithmetic mod p.  17 terms make blocks of
-    # 5, which overflow; 9 terms make blocks of 3, which fit, and the
-    # composition is then exact, its products in gf._fft_mul's 10-bit limbs
+def test_brent_kung_exact_at_the_largest_modulus(rng):
+    # at 2^30 - 35 every block product goes through gf.dot_mod, 8 terms per
+    # int64 chunk; 9, 17, 50 and 400 terms make blocks of 3, 5, 8 and 20
+    # rows, and 20 products near (p - 1)^2 would overflow one int64 sum
     p = 2**30 - 35
-    u = series.PowerSeries(p, 1, np.ones(16, dtype=np.int64), 17)
-    with pytest.raises(gf.ModulusError):
-        series.brent_kung_compose(np.ones(17, dtype=np.int64), u, 17)
-    u9 = series.PowerSeries(p, 1, np.arange(p - 8, p, dtype=np.int64), 9)
-    g = np.arange(p - 9, p, dtype=np.int64)
-    assert series.brent_kung_compose(g, u9, 9).coeff_range(0, 9).tolist() == \
-        oracles.horner_compose(g, u9, 9).coeff_range(0, 9).tolist()
+    for n in (9, 17, 50, 400):
+        u = series.PowerSeries(p, 1, np.concatenate([rng.integers(0, p, n - 2), [p - 1]]), n)
+        for g in (np.full(n + 3, p - 1), rng.integers(0, p, n + 3)):
+            assert series.brent_kung_compose(g, u, n).coeff_range(0, n).tolist() == \
+                oracles.horner_compose(g, u, n).coeff_range(0, n).tolist(), n
     with pytest.raises(ValueError):
         series.series_mul(u, series.PowerSeries.one(101, 5))
+
+
+def test_brent_kung_block_product_path_at_the_float64_edge(rng, monkeypatch):
+    # the block product is float64 while s (p - 1)^2 < 2^53, s = ceil(sqrt(n));
+    # the largest prime inside that bound and the smallest above it, for n = 200
+    n = 200
+    s = gf.NPolyComposer.shape(n)[0]
+    edge = math.isqrt((2**53 - 1) // s) + 1  # least p - 1 with s (p - 1)^2 >= 2^53
+    below = next(p for p in range(edge, 2, -1) if gf.is_probable_prime(p))
+    above = next(p for p in range(edge + 2, 2 * edge) if gf.is_probable_prime(p))
+    paths = []
+    init = gf.NPolyComposer.__init__
+    monkeypatch.setattr(gf.NPolyComposer, "__init__",
+                        lambda self, ctx, g: (init(self, ctx, g), paths.append(self.exact_float))[0])
+    for p in (below, above):
+        u = series.PowerSeries(p, 1, np.concatenate([rng.integers(0, p, n - 2), [p - 1]]), n)
+        g = np.concatenate([[0], np.full(n + 2, p - 1)])
+        assert series.brent_kung_compose(g, u, n) == oracles.horner_compose(g, u, n), p
+    assert paths == [True, False]
